@@ -3,11 +3,11 @@
 // Each named mix drives the scenario generator's avatars — NFT churn with
 // scam-pattern injection, DAO proposal/ballot waves, moderation report
 // storms, reputation updates, privacy-audit records — through real Mempool
-// admission, Blockchain assembly/append (parallel validation), JobQueue
-// lanes, and subscription fan-out. The table records end-to-end throughput
-// plus the queue/fan-out observability the paper's governance story depends
-// on; every recording is then replayed serial+inline and must reproduce the
-// per-block commitment roots bit for bit (the §12 determinism contract).
+// admission, Blockchain assembly/append, JobQueue lanes, and subscription
+// fan-out. The table records end-to-end throughput plus the queue/fan-out
+// observability the paper's governance story depends on; every recording is
+// then replayed serial+inline and must reproduce the per-block commitment
+// roots bit for bit (the §12 determinism contract).
 //
 // The timed benchmarks re-run the same mixes at a reduced round count and
 // export throughput, per-class queue p50/p99 waits, shed rates, and fan-out
@@ -41,14 +41,11 @@ ScenarioConfig city_config(const std::string& mix, std::uint64_t avatars,
   return config;
 }
 
-/// The full stack: parallel validation, threaded queue lanes, push-fed
-/// subscribers, and per-round proof queries. The O(n) full-rehash
-/// cross-check is a test-only safety net, off here so the numbers measure
-/// the pipeline, not the auditor.
+/// The full stack: threaded queue lanes, push-fed subscribers, and per-round
+/// proof queries. The O(n) full-rehash cross-check is a test-only safety
+/// net, off here so the numbers measure the pipeline, not the auditor.
 ReplayOptions city_stack() {
   ReplayOptions opts;
-  opts.validation_threads = 4;
-  opts.schedule_seed = 0x653136;  // "e16"
   opts.use_job_queue = true;
   opts.queue_workers = 4;
   opts.subscribers = 64;
@@ -80,8 +77,8 @@ void print_row(const char* label, const RecordResult& rec, bool replay_ok) {
 void print_table() {
   std::printf("=== E16: city-at-scale macro workloads (src/scenario/) ===\n");
   std::printf(
-      "full stack: 4 validation threads, 4 queue workers, 64 subscribers,\n"
-      "64 proof queries/round; every trace replayed serial+inline and\n"
+      "full stack: 4 queue workers, 64 subscribers, 64 proof\n"
+      "queries/round; every trace replayed serial+inline and\n"
       "compared block-by-block against the recording.\n\n");
   std::printf("%-16s %8s %10s %9s %9s %9s %9s %9s %7s %s\n", "mix", "txs",
               "txs/sec", "q_p50us", "q_p99us", "shed", "fan_p50", "fan_p99",
@@ -148,17 +145,22 @@ void BM_E2ERecord(benchmark::State& state, const char* mix) {
       static_cast<double>(run.queries_shed);
 }
 BENCHMARK_CAPTURE(BM_E2ERecord, market_rush, "market_rush")
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_E2ERecord, governance_wave, "governance_wave")
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_E2ERecord, report_storm, "report_storm")
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_E2ERecord, mixed_city, "mixed_city")
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 /// Replay cost of a pre-recorded trace across stack configurations — the
-/// regression oracle's own overhead. Arg 0: serial+inline; 1: 4-thread
-/// validation; 2: 4-thread validation + 4 queue workers + subscribers.
+/// regression oracle's own overhead. Arg 0: no queue, no subscribers;
+/// 2: 4 queue workers + 64 subscribers + 64 proof queries per round. Arg 2
+/// keeps its number so its BENCH_e2e.json row keeps its name.
 void BM_E2EReplay(benchmark::State& state) {
   auto rec = record(city_config("mixed_city", 10'000, 10, 256));
   if (!rec.ok()) {
@@ -168,11 +170,7 @@ void BM_E2EReplay(benchmark::State& state) {
   const Trace trace = std::move(rec).value().trace;
   ReplayOptions opts;
   opts.check_full_rehash = false;
-  if (state.range(0) >= 1) {
-    opts.validation_threads = 4;
-    opts.schedule_seed = 0x653136;
-  }
-  if (state.range(0) >= 2) {
+  if (state.range(0) == 2) {
     opts.use_job_queue = true;
     opts.queue_workers = 4;
     opts.subscribers = 64;
@@ -193,7 +191,11 @@ void BM_E2EReplay(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(committed));
 }
-BENCHMARK(BM_E2EReplay)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_E2EReplay)
+    ->Arg(0)
+    ->Arg(2)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /// Cross-shard-heavy multi-world mix through the sharded harness: 4 worlds,
 /// every round carries lock-and-mint receipt traffic alongside intra-world
@@ -235,7 +237,11 @@ void BM_E2EMultiWorldReplay(benchmark::State& state) {
   state.counters["cross_transfers"] =
       static_cast<double>(rec.value().cross_transfers);
 }
-BENCHMARK(BM_E2EMultiWorldReplay)->Arg(0)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_E2EMultiWorldReplay)
+    ->Arg(0)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -176,16 +176,13 @@ BENCHMARK(BM_BlockAssembleValidate)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
-// Parallel block validation: fully validate a 512-tx low-conflict block
-// (distinct senders, distinct recipients) over a world of `range(0)` funded
-// accounts with `range(1)` worker threads. threads == 1 is the serial
-// baseline; the speedup at 4-8 threads is the tentpole claim of the parallel
-// engine. The candidate set and the block are built once outside the timed
-// loop, so the measurement isolates validation (signature pre-verification,
-// partitioning, group execution, merge).
-void BM_ParallelBlockValidate(benchmark::State& state) {
+// Block validation of a 512-tx block of disjoint transfers (distinct
+// senders, distinct recipients) over a world of `range(0)` funded accounts,
+// with no signature memo. The candidate set and the block are built once
+// outside the timed loop, so the measurement isolates validation (signature
+// checks, apply, commitment).
+void BM_BlockValidateDisjoint(benchmark::State& state) {
   const auto accounts = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
   constexpr std::size_t kTxs = 512;
   Rng rng(13);
   auto contracts = std::make_shared<ContractRegistry>();
@@ -207,7 +204,6 @@ void BM_ParallelBlockValidate(benchmark::State& state) {
   ChainConfig config;
   config.validators = {validator.public_key()};
   config.max_txs_per_block = kTxs;
-  config.validation.threads = threads;
   Blockchain chain(config, contracts, genesis);
   const Block block = chain.assemble(validator, candidates, 0, rng);
   for (auto _ : state) {
@@ -216,8 +212,9 @@ void BM_ParallelBlockValidate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kTxs));
 }
-BENCHMARK(BM_ParallelBlockValidate)
-    ->ArgsProduct({{1000, 100000}, {1, 2, 4, 8}})
+BENCHMARK(BM_BlockValidateDisjoint)
+    ->Arg(1000)
+    ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
 // Incremental commitment after touching a handful of accounts in a world of
@@ -762,6 +759,7 @@ BENCHMARK(BM_ShardedPipeline)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Raw job-queue dispatch cost: a 256-task batch of near-empty jobs through
@@ -789,6 +787,7 @@ BENCHMARK(BM_JobQueueDispatch)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 // Mixed-priority overload: each iteration floods the three lowest classes
@@ -839,6 +838,7 @@ void BM_JobQueueMixedOverload(benchmark::State& state) {
 BENCHMARK(BM_JobQueueMixedOverload)
     ->Arg(1)
     ->Arg(2)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Streaming fan-out: one commit push, serialized once, shared by pointer
@@ -898,6 +898,7 @@ BENCHMARK(BM_SubscriptionFanout)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_MerkleProof256(benchmark::State& state) {

@@ -59,17 +59,22 @@ void JobQueue::ClassState::record_run(double us) {
 }
 
 JobQueue::JobQueue(JobQueueConfig config) : config_(config) {
-  if (config_.threads == 0) return;
-  pool_ = std::make_unique<ThreadPool>(config_.threads);
-  driver_ = std::thread([this] {
-    // One pool task per worker, each pulling jobs until stop — the batch
-    // (and so this parallel() call) completes only at shutdown.
-    pool_->parallel(config_.threads, [this](std::size_t) { worker_loop(); });
-  });
+  workers_.reserve(config_.threads);
+  try {
+    for (std::size_t i = 0; i < config_.threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // A thread that failed to start must not strand the ones that did.
+    stop_workers();
+    throw;
+  }
 }
 
-JobQueue::~JobQueue() {
-  if (config_.threads == 0) return;
+JobQueue::~JobQueue() { stop_workers(); }
+
+void JobQueue::stop_workers() {
+  if (workers_.empty()) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
@@ -82,7 +87,7 @@ JobQueue::~JobQueue() {
     }
   }
   work_cv_.notify_all();
-  driver_.join();
+  for (auto& worker : workers_) worker.join();
 }
 
 bool JobQueue::admit_locked(ClassState& cs, const JobQueueConfig::Limit& limit) {

@@ -4,10 +4,10 @@
 // block validation, gossip relay, snapshot chunk serving, and client proof
 // queries all compete for the same cores. This queue (modeled on rippled's
 // JobQueue/LoadMonitor) gives each traffic class its own FIFO lane, executes
-// the highest-priority non-empty lane first on a worker pool layered on
-// ThreadPool, and sheds new work at admission when a lane backs up past its
-// configured ceiling — a rejected job is counted, never queued, so overload
-// degrades the lowest classes first instead of stalling consensus.
+// the highest-priority non-empty lane first on its own worker threads, and
+// sheds new work at admission when a lane backs up past its configured
+// ceiling — a rejected job is counted, never queued, so overload degrades the
+// lowest classes first instead of stalling consensus.
 //
 // Execution modes:
 //   threads == 0  — inline: submit()/run()/run_batch() execute the job
@@ -16,10 +16,10 @@
 //                   byte-identically to calling the work directly (telemetry
 //                   is still recorded; depth is always 0, so depth/wait
 //                   ceilings never trigger).
-//   threads >= 1  — queued: jobs are pulled by `threads` workers (one
-//                   long-lived ThreadPool batch driven from an internal
-//                   thread). Per-class FIFO order is start order; jobs of
-//                   different classes overlap freely.
+//   threads >= 1  — queued: jobs are pulled by `threads` worker threads
+//                   the queue starts and joins itself. Per-class FIFO order
+//                   is start order; jobs of different classes overlap
+//                   freely.
 //
 // Shedding policy (per class, both knobs 0 = unlimited):
 //   - depth ceiling: a submit()/run() while the class already holds
@@ -30,8 +30,8 @@
 //     that drained long ago cannot latch the lane shut — admission recovers
 //     as soon as the backlog clears.
 //   - run_batch() is never shed: a batch is one unit of already-admitted
-//     work (e.g. a block's signature verifications) and partial execution
-//     would corrupt it. Admission control belongs at the batch's submitter.
+//     work (e.g. one round's shard commits) and partial execution would
+//     corrupt it. Admission control belongs at the batch's submitter.
 //
 // Threading contract: submit/run/run_batch/drain/stats are safe from any
 // thread. A job must not call run()/run_batch()/drain() on its own queue
@@ -50,16 +50,16 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "common/stats.h"
-#include "common/thread_pool.h"
 
 namespace mv {
 
 /// Traffic classes, highest priority first (enum order IS the priority).
 enum class JobClass : std::uint8_t {
-  kConsensus = 0,     ///< block validation units on the consensus path
-  kValidation = 1,    ///< signature pre-verification batches
+  kConsensus = 0,     ///< consensus-path work (per-shard commit fan-out)
+  kValidation = 1,    ///< no producer in src/; kept for the benchmark's report
   kGossipRelay = 2,   ///< rumor relays (net/gossip.h)
   kSnapshotServe = 3, ///< snapshot chunk serving (net/snapshot_transfer.h)
   kClientQuery = 4,   ///< client proof queries (Blockchain::prove_account)
@@ -145,8 +145,7 @@ class JobQueue {
   /// Run fn(0)..fn(tasks-1) as `tasks` jobs of `cls` and block until all
   /// finished. Never shed. Tasks may run concurrently and in any order
   /// (inline mode: ascending order on the calling thread) — callers needing
-  /// determinism write to disjoint slots, exactly as with
-  /// ThreadPool::parallel.
+  /// determinism write to disjoint slots.
   void run_batch(JobClass cls, std::size_t tasks,
                  const std::function<void(std::size_t)>& fn);
 
@@ -200,6 +199,8 @@ class JobQueue {
   /// Enqueue under mu_ (caller already admitted) and wake a worker.
   void enqueue_locked(ClassState& cs, Job job);
   void worker_loop();
+  /// Stop and join the workers, abandoning still-queued jobs.
+  void stop_workers();
 
   JobQueueConfig config_;
 
@@ -211,11 +212,8 @@ class JobQueue {
   std::size_t running_ = 0;  ///< jobs currently executing on workers
   bool stop_ = false;
 
-  /// The workers: one long-lived ThreadPool batch of `threads` tasks, each
-  /// running worker_loop() until stop; driver_ parks inside
-  /// ThreadPool::parallel for the queue's whole life.
-  std::unique_ptr<ThreadPool> pool_;
-  std::thread driver_;
+  /// `threads` workers, each running worker_loop() until stop.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace mv

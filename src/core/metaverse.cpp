@@ -235,7 +235,6 @@ void Metaverse::tick() {
   const auto& resolutions = moderation_.resolutions();
   for (; resolutions_seen_ < resolutions.size(); ++resolutions_seen_) {
     const auto& r = resolutions[resolutions_seen_];
-    bus_.publish(r);  // observers (examples, telemetry) may react
     if (r.verdict != moderation::Verdict::kUphold) continue;
     (void)reputation_.report(kSystemAccount, r.offender, 1.0, now);
   }

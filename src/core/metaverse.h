@@ -17,7 +17,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "common/event_bus.h"
 #include "core/ethics.h"
 #include "dao/contract.h"
 #include "dao/federated.h"
@@ -93,7 +92,6 @@ class Metaverse {
   [[nodiscard]] ledger::ValidatorCommittee& committee() { return *committee_; }
   [[nodiscard]] const ledger::Blockchain& chain() const { return committee_->chain(0); }
   [[nodiscard]] SimClock& clock() { return clock_; }
-  [[nodiscard]] EventBus& bus() { return bus_; }
 
   // ---- cross-module flows ----------------------------------------------
   /// Push a sensor reading through the user's privacy pipeline; cloud
@@ -185,7 +183,6 @@ class Metaverse {
   MetaverseConfig config_;
   Rng rng_;
   SimClock clock_;
-  EventBus bus_;
   net::Network network_;
   std::shared_ptr<ledger::ContractRegistry> contracts_;
   std::unique_ptr<crypto::Wallet> faucet_;  ///< genesis treasury

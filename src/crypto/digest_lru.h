@@ -11,8 +11,8 @@
 // on lookup, so a prefix collision can only cause a spurious miss (the
 // colliding entry is displaced on insert), never a false hit. Not
 // thread-safe: callers consult and populate it from their single-threaded
-// control path (ledger/parallel.cpp fans verification out but touches the
-// cache only from the calling thread).
+// control path (mempool admission and apply_block, ledger/parallel.h, on the
+// replica's own thread; each shard holds its own instance).
 #pragma once
 
 #include <cstdint>

@@ -25,11 +25,6 @@ Blockchain::Blockchain(ChainConfig config,
   if (config_.validators.empty()) {
     throw std::invalid_argument("Blockchain: empty validator set");
   }
-  // A configured job queue brings its own workers (shared, prioritized);
-  // only the queue-less parallel configuration spawns a dedicated pool.
-  if (config_.validation.job_queue == nullptr && config_.validation.threads > 1) {
-    pool_ = std::make_shared<ThreadPool>(config_.validation.threads);
-  }
   ByteWriter w;
   w.str("genesis");
   w.raw(genesis_->commitment().root);
@@ -65,24 +60,14 @@ Block Blockchain::assemble(const crypto::Wallet& proposer,
   block.header.timestamp = timestamp;
   block.header.proposer_pub = proposer.public_key();
 
+  // The block holds the first max_txs_per_block candidates that apply.
   auto scratch = LedgerStateOverlay::reader(state());
-  if (candidates.size() <= config_.max_txs_per_block) {
-    const auto outcome =
-        apply_block(scratch, candidates, *contracts_, block.header.height,
-                    config_.validation, pool_.get(), ApplyMode::kSkipFailures);
-    vstats_.record(outcome);
-    for (const std::size_t i : outcome.applied) block.txs.push_back(candidates[i]);
-  } else {
-    // Over-full candidate lists keep the historical serial loop: the block
-    // cap cuts off mid-list, and "first max_txs successes" is inherently
-    // order-sequential.
-    for (const auto& tx : candidates) {
-      if (block.txs.size() >= config_.max_txs_per_block) break;
-      if (scratch.apply(tx, *contracts_, block.header.height).ok()) {
-        block.txs.push_back(tx);
-      }
-    }
-  }
+  const auto outcome = apply_block(
+      scratch, candidates, *contracts_, block.header.height,
+      config_.validation.sig_cache.get(), ApplyMode::kSkipFailures,
+      config_.max_txs_per_block);
+  vstats_.record(outcome);
+  for (const std::size_t i : outcome.applied) block.txs.push_back(candidates[i]);
   block.header.tx_root = Block::compute_tx_root(block.txs);
   block.header.state_root = scratch.commitment().root;
   block.header.proposer_sig = proposer.sign(block.header.signing_bytes(), rng);
@@ -112,8 +97,8 @@ Status Blockchain::check(const Block& block, LedgerStateOverlay& scratch) const 
     return Status::fail("block.bad_tx_root", "Merkle root mismatch");
   }
   const auto outcome =
-      apply_block(scratch, block.txs, *contracts_, h.height, config_.validation,
-                  pool_.get(), ApplyMode::kAllOrNothing);
+      apply_block(scratch, block.txs, *contracts_, h.height,
+                  config_.validation.sig_cache.get(), ApplyMode::kAllOrNothing);
   vstats_.record(outcome);
   if (!outcome.status.ok()) {
     return Status::fail("block.bad_tx",

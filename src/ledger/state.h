@@ -171,8 +171,9 @@ class LedgerView {
   /// Atomic: any failure leaves the view exactly as it was (contract calls
   /// run in a nested overlay that is committed only on success).
   /// `signature_preverified` skips the in-line signature check; pass true
-  /// only when signature_valid() was already observed true for `tx` (the
-  /// parallel block engine verifies signatures in a concurrent pre-pass).
+  /// only when signature_valid() was already observed true for `tx`
+  /// (apply_block does so for signatures its verified-signature memo vouches
+  /// for).
   [[nodiscard]] Status apply(const Transaction& tx,
                              const ContractRegistry& contracts, Tick height,
                              bool signature_preverified = false);

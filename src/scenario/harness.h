@@ -7,10 +7,10 @@
 // genesis root differs), feeds the recorded rounds through a freshly
 // configured stack, and compares every per-block StateCommitment root
 // against the recording. Because the recorded roots are a pure function of
-// (genesis, transaction sequence), ANY replay configuration — serial or
-// parallel validation, inline or threaded JobQueue, with or without
-// subscribers — must reproduce them bit for bit; a mismatch localizes a
-// regression to the block where the roots first diverge.
+// (genesis, transaction sequence), ANY replay configuration — inline or
+// threaded JobQueue, with or without subscribers and proof queries — must
+// reproduce them bit for bit; a mismatch localizes a regression to the
+// block where the roots first diverge.
 //
 // The determinism contract (DESIGN.md §12), concretely:
 //   1. same seed + config      => byte-identical Trace (generator purity);
@@ -35,10 +35,8 @@ namespace mv::scenario {
 /// Stack configuration swept by the determinism tests. Every combination
 /// must replay a trace to the same commitment roots.
 struct ReplayOptions {
-  /// ValidationConfig::threads (per-chain pool) when no queue is used.
-  std::size_t validation_threads = 1;
-  std::uint64_t schedule_seed = 0;
-  /// Route validation/consensus/client work through one shared JobQueue.
+  /// Route client queries and subscription pushes through one shared
+  /// JobQueue.
   bool use_job_queue = false;
   std::size_t queue_workers = 0;  ///< 0 = deterministic inline execution
   JobQueueConfig::Limit client_query_limit{};  ///< kClientQuery shedding

@@ -1,23 +1,18 @@
-// Unit tests for the common kernel: ids, Result, RNG, serialization, event
-// bus, statistics.
+// Unit tests for the common kernel: ids, Result, RNG, serialization,
+// statistics.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <set>
-#include <thread>
 #include <unordered_set>
 
 #include "common/bytes.h"
 #include "common/clock.h"
-#include "common/event_bus.h"
 #include "common/ids.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "common/thread_pool.h"
 
 namespace mv {
 namespace {
@@ -243,61 +238,6 @@ TEST(SimClock, AdvancesAndResets) {
   EXPECT_EQ(clock.now(), 0);
 }
 
-// ---------------------------------------------------------------- event bus
-
-struct PingEvent {
-  int value;
-};
-struct OtherEvent {
-  int value;
-};
-
-TEST(EventBus, DeliversToSubscribers) {
-  EventBus bus;
-  int sum = 0;
-  bus.subscribe<PingEvent>([&](const PingEvent& e) { sum += e.value; });
-  bus.subscribe<PingEvent>([&](const PingEvent& e) { sum += 10 * e.value; });
-  bus.publish(PingEvent{3});
-  EXPECT_EQ(sum, 33);
-}
-
-TEST(EventBus, TypeIsolation) {
-  EventBus bus;
-  int pings = 0, others = 0;
-  bus.subscribe<PingEvent>([&](const PingEvent&) { ++pings; });
-  bus.subscribe<OtherEvent>([&](const OtherEvent&) { ++others; });
-  bus.publish(PingEvent{1});
-  bus.publish(PingEvent{1});
-  bus.publish(OtherEvent{1});
-  EXPECT_EQ(pings, 2);
-  EXPECT_EQ(others, 1);
-}
-
-TEST(EventBus, Unsubscribe) {
-  EventBus bus;
-  int count = 0;
-  const auto id = bus.subscribe<PingEvent>([&](const PingEvent&) { ++count; });
-  bus.publish(PingEvent{1});
-  bus.unsubscribe<PingEvent>(id);
-  bus.publish(PingEvent{1});
-  EXPECT_EQ(count, 1);
-}
-
-TEST(EventBus, ReentrantSubscribeIsSafe) {
-  EventBus bus;
-  int count = 0;
-  bus.subscribe<PingEvent>([&](const PingEvent&) {
-    ++count;
-    if (count == 1) {
-      bus.subscribe<PingEvent>([&](const PingEvent&) { count += 100; });
-    }
-  });
-  bus.publish(PingEvent{1});  // new handler must not fire during this publish
-  EXPECT_EQ(count, 1);
-  bus.publish(PingEvent{1});
-  EXPECT_EQ(count, 102);
-}
-
 // ---------------------------------------------------------------- stats
 
 TEST(RunningStats, Basic) {
@@ -428,64 +368,6 @@ TEST_P(RngUniformityTest, ChiSquareWithinBound) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RngUniformityTest,
                          ::testing::Values(1, 2, 3, 42, 1000, 0xdeadbeef));
-
-// ---------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.workers(), 4u);
-  std::vector<int> hits(1000, 0);
-  pool.parallel(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i], 1) << "task " << i;
-  }
-}
-
-TEST(ThreadPool, ReusableAcrossBatches) {
-  ThreadPool pool(3);
-  for (int batch = 0; batch < 50; ++batch) {
-    std::vector<std::size_t> out(7, 0);
-    pool.parallel(out.size(), [&](std::size_t i) { out[i] = i * i; });
-    for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-  }
-  pool.parallel(0, [](std::size_t) { FAIL() << "no tasks, no calls"; });
-}
-
-TEST(ThreadPool, ZeroWorkersRunsInline) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.workers(), 0u);
-  std::vector<int> hits(16, 0);
-  pool.parallel(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const int h : hits) EXPECT_EQ(h, 1);
-}
-
-// Regression: destroying the pool while another thread's parallel() batch was
-// in flight could strand the caller — workers honored stop_ before finishing
-// the batch, so completed_ never reached tasks_ and the caller waited on
-// done_cv_ forever. The destructor now serializes with in-flight batches and
-// workers drain the current batch before exiting.
-TEST(ThreadPool, DestructorDrainsInFlightBatch) {
-  std::vector<std::atomic<int>> hits(64);
-  std::atomic<bool> batch_done{false};
-  std::thread caller;
-  {
-    ThreadPool pool(3);
-    std::atomic<bool> started{false};
-    caller = std::thread([&] {
-      pool.parallel(hits.size(), [&](std::size_t i) {
-        started.store(true);
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        hits[i].fetch_add(1);
-      });
-      batch_done.store(true);
-    });
-    while (!started.load()) std::this_thread::yield();
-    // ~ThreadPool runs here, mid-batch.
-  }
-  caller.join();
-  EXPECT_TRUE(batch_done.load());
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
 
 }  // namespace
 }  // namespace mv

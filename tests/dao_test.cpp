@@ -248,6 +248,16 @@ TEST(VotingSchemes, SortitionJuryRestrictsVoters) {
   EXPECT_DOUBLE_EQ(f.dao.find(id.value())->tally.eligible_weight, 3.0);
 }
 
+}  // namespace
+
+// Print a scheme parameter by name. gtest's default prints the shared_ptr's
+// heap address, which would change the discovered ctest names on every run.
+void PrintTo(const std::shared_ptr<const VotingScheme>& scheme, std::ostream* os) {
+  *os << scheme->name();
+}
+
+namespace {
+
 // Property: no scheme ever double-counts, and turnout never exceeds 1.
 class SchemeInvariantTest
     : public ::testing::TestWithParam<std::shared_ptr<const VotingScheme>> {};

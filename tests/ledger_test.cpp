@@ -337,6 +337,34 @@ TEST(Blockchain, AssembleDropsInvalidTxs) {
   ASSERT_TRUE(chain.append(block).ok());
 }
 
+TEST(Blockchain, AssembleTakesFirstMaxTxsSuccessesInOrder) {
+  // 20 candidates against a 16-tx cap, with an overdraft at index 3: the
+  // block is the first 16 candidates that apply, in candidate order, and a
+  // signature memo changes nothing about which.
+  ChainFixture f;
+  std::vector<Transaction> candidates;
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    const std::uint64_t amount = i == 3 ? 99999 : 1;
+    candidates.push_back(make_transfer(f.alice, i <= 3 ? i : i - 1,
+                                       f.bob.address(), amount, 0, f.rng));
+  }
+  std::vector<Transaction> want(candidates.begin(), candidates.begin() + 3);
+  want.insert(want.end(), candidates.begin() + 4, candidates.begin() + 17);
+  for (const bool cached : {false, true}) {
+    ChainConfig config = f.config;
+    if (cached) config.validation.sig_cache = std::make_shared<crypto::DigestLruSet>();
+    Blockchain chain(config, f.contracts, f.state);
+    const Block block = chain.assemble(f.v0, candidates, 0, f.rng);
+    ASSERT_EQ(block.txs.size(), 16u);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(block.txs[i].digest(), want[i].digest()) << "tx " << i;
+    }
+    // Candidates past the cap are never looked at.
+    EXPECT_EQ(chain.validation_stats().sig_cache_misses, cached ? 17u : 0u);
+    ASSERT_TRUE(chain.append(block).ok());
+  }
+}
+
 TEST(Blockchain, RejectsWrongProposer) {
   ChainFixture f;
   Blockchain chain = f.make_chain();

@@ -327,16 +327,12 @@ TEST(ScenarioGolden, DeterminismSweepAcrossStackConfigurations) {
   const auto& baseline = rec.value().run.commitments;
   ASSERT_EQ(baseline.size(), trace.rounds.size());
 
-  // serial / parallel validation × inline / threaded queue × subscribers:
-  // every configuration must reproduce the recorded commitment sequence.
+  // no queue / inline / threaded queue × subscribers: every configuration
+  // must reproduce the recorded commitment sequence.
   std::vector<ReplayOptions> sweep;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    ReplayOptions o;
-    o.validation_threads = threads;
-    o.schedule_seed = 0xfeed + threads;
-    sweep.push_back(o);
-  }
-  for (const std::size_t workers : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
+  sweep.push_back(ReplayOptions{});
+  for (const std::size_t workers :
+       {std::size_t{0}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     ReplayOptions o;
     o.use_job_queue = true;
     o.queue_workers = workers;
