@@ -136,9 +136,10 @@ void BM_TxApplyTransfer(benchmark::State& state) {
 BENCHMARK(BM_TxApplyTransfer);
 
 // Hot path of block production: assemble a 256-tx block on top of a ledger
-// with `range(0)` funded accounts, then fully validate it. The per-block cost
-// must track block size, not world size (the seed deep-copied the whole
-// account map twice per block).
+// with `range(0)` funded accounts, then fully validate it on a replica that
+// never assembled it (the assembling chain would serve validate from its
+// execution memo). The per-block cost must track block size, not world size
+// (the seed deep-copied the whole account map twice per block).
 void BM_BlockAssembleValidate(benchmark::State& state) {
   const auto accounts = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kTxs = 256;
@@ -162,10 +163,13 @@ void BM_BlockAssembleValidate(benchmark::State& state) {
   ChainConfig config;
   config.validators = {validator.public_key()};
   config.max_txs_per_block = kTxs;
-  Blockchain chain(config, contracts, genesis);
+  const auto shared = std::make_shared<const LedgerState>(std::move(genesis));
+  Blockchain chain(config, contracts, shared);
   for (auto _ : state) {
     const Block block = chain.assemble(validator, candidates, 0, rng);
-    benchmark::DoNotOptimize(chain.validate(block));
+    // O(1): the replica shares the genesis state.
+    const Blockchain replica(config, contracts, shared);
+    benchmark::DoNotOptimize(replica.validate(block));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kTxs));
@@ -179,8 +183,10 @@ BENCHMARK(BM_BlockAssembleValidate)
 // Block validation of a 512-tx block of disjoint transfers (distinct
 // senders, distinct recipients) over a world of `range(0)` funded accounts,
 // with no signature memo. The candidate set and the block are built once
-// outside the timed loop, so the measurement isolates validation (signature
-// checks, apply, commitment).
+// outside the timed loop, and each iteration validates on a fresh replica
+// sharing the genesis state (one that never executed the block, so its
+// execution memo is empty), so the measurement isolates validation
+// (signature checks, apply, commitment).
 void BM_BlockValidateDisjoint(benchmark::State& state) {
   const auto accounts = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kTxs = 512;
@@ -204,10 +210,12 @@ void BM_BlockValidateDisjoint(benchmark::State& state) {
   ChainConfig config;
   config.validators = {validator.public_key()};
   config.max_txs_per_block = kTxs;
-  Blockchain chain(config, contracts, genesis);
-  const Block block = chain.assemble(validator, candidates, 0, rng);
+  const auto shared = std::make_shared<const LedgerState>(std::move(genesis));
+  const Block block =
+      Blockchain(config, contracts, shared).assemble(validator, candidates, 0, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(chain.validate(block));
+    const Blockchain replica(config, contracts, shared);
+    benchmark::DoNotOptimize(replica.validate(block));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kTxs));
@@ -664,8 +672,10 @@ BENCHMARK(BM_SnapshotExportImport)
     ->Unit(benchmark::kMillisecond);
 
 // Steady-state block validation with the verified-signature cache off
-// (range(0) == 0) vs on (1). With the cache, every signature in a re-validated
-// block is a digest-keyed hit, so the per-block cost drops to the apply path.
+// (range(0) == 0) vs on (1). Each iteration validates on a fresh replica that
+// shares the genesis state and the cache, so the block executes in full every
+// time; with the cache, every signature is a digest-keyed hit, so the
+// per-block cost drops to the apply path.
 void BM_BlockValidateSigCache(benchmark::State& state) {
   const bool cached = state.range(0) != 0;
   constexpr std::size_t kTxs = 256;
@@ -687,10 +697,12 @@ void BM_BlockValidateSigCache(benchmark::State& state) {
   config.validators = {validator.public_key()};
   config.max_txs_per_block = kTxs;
   if (cached) config.validation.sig_cache = std::make_shared<crypto::DigestLruSet>();
-  Blockchain chain(config, contracts, genesis);
-  const Block block = chain.assemble(validator, candidates, 0, rng);
+  const auto shared = std::make_shared<const LedgerState>(std::move(genesis));
+  const Block block =
+      Blockchain(config, contracts, shared).assemble(validator, candidates, 0, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(chain.validate(block));
+    const Blockchain replica(config, contracts, shared);
+    benchmark::DoNotOptimize(replica.validate(block));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kTxs));

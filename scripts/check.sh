@@ -33,6 +33,21 @@ if echo "${diff_out}" | grep -qi 'skipped'; then
   exit 1
 fi
 
+echo "== gate: execution memo battery must run (not be skipped) =="
+# Append reuses what assemble/validate executed; the battery pins the memo's
+# key (the exact tx digest list, not the tx root), its hit contract, and its
+# invalidation rules, so it must never be renamed away or skipped.
+memo_out="$(ctest --test-dir build -R 'ExecutionMemo' --no-tests=error --output-on-failure 2>&1)" || {
+  echo "${memo_out}"
+  echo "FAIL: execution memo tests did not run or did not pass"
+  exit 1
+}
+if echo "${memo_out}" | grep -qi 'skipped'; then
+  echo "${memo_out}"
+  echo "FAIL: execution memo tests were skipped"
+  exit 1
+fi
+
 echo "== gate: proof fuzz (10k keys + mutation sweep) must run (not be skipped) =="
 # Every present key must prove, every absent key must non-membership-prove,
 # and no single-byte mutation of an encoded proof may survive verification.

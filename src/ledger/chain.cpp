@@ -51,6 +51,15 @@ const crypto::PublicKey& Blockchain::expected_proposer(std::int64_t height) cons
                             config_.validators.size()];
 }
 
+namespace {
+std::vector<crypto::Digest> tx_digests(const std::vector<Transaction>& txs) {
+  std::vector<crypto::Digest> out;
+  out.reserve(txs.size());
+  for (const auto& tx : txs) out.push_back(tx.digest());
+  return out;
+}
+}  // namespace
+
 Block Blockchain::assemble(const crypto::Wallet& proposer,
                            const std::vector<Transaction>& candidates,
                            Tick timestamp, Rng& rng) const {
@@ -61,20 +70,30 @@ Block Blockchain::assemble(const crypto::Wallet& proposer,
   block.header.proposer_pub = proposer.public_key();
 
   // The block holds the first max_txs_per_block candidates that apply.
+  const auto digests = tx_digests(candidates);
   auto scratch = LedgerStateOverlay::reader(state());
   const auto outcome = apply_block(
-      scratch, candidates, *contracts_, block.header.height,
+      scratch, candidates, digests, *contracts_, block.header.height,
       config_.validation.sig_cache.get(), ApplyMode::kSkipFailures,
       config_.max_txs_per_block);
   vstats_.record(outcome);
-  for (const std::size_t i : outcome.applied) block.txs.push_back(candidates[i]);
-  block.header.tx_root = Block::compute_tx_root(block.txs);
-  block.header.state_root = scratch.commitment().root;
+  std::vector<crypto::Digest> applied;
+  applied.reserve(outcome.applied.size());
+  for (const std::size_t i : outcome.applied) {
+    block.txs.push_back(candidates[i]);
+    applied.push_back(digests[i]);
+  }
+  block.header.tx_root = crypto::MerkleTree(applied).root();
+  const StateCommitment commitment = scratch.commitment();
+  block.header.state_root = commitment.root;
   block.header.proposer_sig = proposer.sign(block.header.signing_bytes(), rng);
+  memo_ = ExecutionMemo{block.header.prev_hash, block.header.height,
+                        std::move(applied), std::move(scratch).rebase(nullptr),
+                        commitment};
   return block;
 }
 
-Status Blockchain::check(const Block& block, LedgerStateOverlay& scratch) const {
+Status Blockchain::validate(const Block& block) const {
   const auto& h = block.header;
   if (h.height != height()) {
     return Status::fail("block.bad_height",
@@ -93,35 +112,49 @@ Status Blockchain::check(const Block& block, LedgerStateOverlay& scratch) const 
   if (block.txs.size() > config_.max_txs_per_block) {
     return Status::fail("block.too_many_txs", "exceeds max_txs_per_block");
   }
-  if (h.tx_root != Block::compute_tx_root(block.txs)) {
+  auto digests = tx_digests(block.txs);
+  if (h.tx_root != crypto::MerkleTree(digests).root()) {
     return Status::fail("block.bad_tx_root", "Merkle root mismatch");
   }
-  const auto outcome =
-      apply_block(scratch, block.txs, *contracts_, h.height,
-                  config_.validation.sig_cache.get(), ApplyMode::kAllOrNothing);
-  vstats_.record(outcome);
-  if (!outcome.status.ok()) {
-    return Status::fail("block.bad_tx",
-                        "tx " + std::to_string(outcome.failed_index) + ": " +
-                            outcome.status.error().to_string());
+  // Execution is a deterministic function of parent state, height and the
+  // exact tx list, so a memo with this key already holds its result.
+  const bool hit = memo_.has_value() && memo_->parent == h.prev_hash &&
+                   memo_->height == h.height && memo_->tx_digests == digests;
+  StateCommitment commitment;
+  if (hit) {
+    ++vstats_.memo_hits;
+    commitment = memo_->commitment;
+  } else {
+    auto scratch = LedgerStateOverlay::reader(state());
+    const auto outcome = apply_block(scratch, block.txs, digests, *contracts_,
+                                     h.height, config_.validation.sig_cache.get(),
+                                     ApplyMode::kAllOrNothing);
+    vstats_.record(outcome);
+    if (!outcome.status.ok()) {
+      return Status::fail("block.bad_tx",
+                          "tx " + std::to_string(outcome.failed_index) + ": " +
+                              outcome.status.error().to_string());
+    }
+    commitment = scratch.commitment();
+    if (commitment.root == h.state_root) {
+      memo_ = ExecutionMemo{h.prev_hash, h.height, std::move(digests),
+                            std::move(scratch).rebase(nullptr), commitment};
+    }
   }
-  if (scratch.commitment().root != h.state_root) {
+  if (commitment.root != h.state_root) {
     return Status::fail("block.bad_state_root", "post-state mismatch");
   }
   return {};
 }
 
-Status Blockchain::validate(const Block& block) const {
-  auto scratch = LedgerStateOverlay::reader(state());
-  return check(block, scratch);
-}
-
 Status Blockchain::append(const Block& block) {
+  if (auto s = validate(block); !s.ok()) return s;
   // First committed block: materialize the working copy of the shared
-  // genesis (a no-op on the copying constructor path).
+  // genesis (a no-op on the copying constructor path). The memo's delta was
+  // computed on an equal state, so it rebases onto the copy unchanged.
   LedgerState& state = mutable_state();
-  auto scratch = LedgerStateOverlay::writer(state);
-  if (auto s = check(block, scratch); !s.ok()) return s;
+  auto scratch = std::move(memo_->delta).rebase(&state);
+  memo_.reset();
   // The inverse delta must be read off the pre-commit base; it feeds the
   // retention ring that serves historical proofs and snapshot export, and
   // tells the commit hook which accounts/stores the block touched.
@@ -323,6 +356,7 @@ Status Blockchain::init_from_snapshot(const SnapshotManifest& manifest,
   base_height_ = anchor.height + 1;
   base_hash_ = anchor.hash();
   retained_.clear();
+  memo_.reset();
   return {};
 }
 

@@ -75,12 +75,17 @@ class Blockchain {
   [[nodiscard]] const crypto::PublicKey& expected_proposer(std::int64_t height) const;
 
   /// Proposer side: trial-apply candidates in order, drop any that fail, and
-  /// build a signed block on top of the current tip.
+  /// build a signed block on top of the current tip. The block's delta and
+  /// commitment go into the execution memo, so appending it here does not
+  /// execute it again.
   [[nodiscard]] Block assemble(const crypto::Wallet& proposer,
                                const std::vector<Transaction>& candidates,
                                Tick timestamp, Rng& rng) const;
 
-  /// Full validation + commit. On any failure the chain is unchanged.
+  /// validate() + commit. On any failure the chain is unchanged. The block's
+  /// delta comes from the execution memo, which validate() fills on a miss,
+  /// so a block assemble() or validate() already ran here is not executed
+  /// again. A successful append consumes the memo.
   [[nodiscard]] Status append(const Block& block);
 
   /// Observer of successful commits: the block just appended plus the
@@ -93,7 +98,11 @@ class Blockchain {
   using CommitHook = std::function<void(const Block&, const StateUndo&)>;
   void set_commit_hook(CommitHook hook) { commit_hook_ = std::move(hook); }
 
-  /// Validate without committing (votes in the BFT round use this).
+  /// Validate without committing (votes in the BFT round use this). Every
+  /// header check runs; execution is served from the memo on a key match and
+  /// runs in full otherwise. A hit is left in place, and a block that
+  /// executes and passes is memoized, so the append after the vote does not
+  /// execute it again.
   [[nodiscard]] Status validate(const Block& block) const;
 
   /// Merkle inclusion proof for tx `tx_index` of block `block_height`.
@@ -143,9 +152,10 @@ class Blockchain {
   /// light clients seed their header chain with this.
   [[nodiscard]] crypto::Digest genesis_hash() const { return genesis_hash_; }
 
-  /// Counters over block applications (assemble/validate/append). Updated
-  /// from const validation paths; not meaningful if one chain is driven from
-  /// several threads at once (replicas are single-threaded by design).
+  /// Counters over block applications (assemble/validate/append) and
+  /// execution-memo hits. Updated from const validation paths; like the memo
+  /// itself, not meaningful if one chain is driven from several threads at
+  /// once (replicas are single-threaded by design).
   [[nodiscard]] const ValidationStats& validation_stats() const { return vstats_; }
 
   /// Serialize every committed block (bootstrap/archive format).
@@ -160,9 +170,18 @@ class Blockchain {
   [[nodiscard]] Result<std::size_t> import_blocks(const Bytes& data);
 
  private:
-  /// Validate the block by trial-applying it onto `scratch` (an overlay over
-  /// the current state). On success the overlay holds the block's delta.
-  [[nodiscard]] Status check(const Block& block, LedgerStateOverlay& scratch) const;
+  /// One-slot execution memo (DESIGN.md §7 "Execution memo"): the detached
+  /// delta and post-state commitment of the last block assemble() built or
+  /// validate() accepted, keyed by everything execution depends on. The key
+  /// is the exact digest list, not the tx root: a Merkle root with a
+  /// duplicated odd last leaf matches two different lists.
+  struct ExecutionMemo {
+    crypto::Digest parent;
+    std::int64_t height = 0;
+    std::vector<crypto::Digest> tx_digests;
+    LedgerStateOverlay delta;  ///< detached; only ever rebased onto the tip
+    StateCommitment commitment;
+  };
 
   /// The proof construction itself (prove_account minus queue admission).
   [[nodiscard]] Result<AccountProof> prove_account_now(
@@ -198,6 +217,7 @@ class Blockchain {
   /// config.state_retention.
   std::deque<Retained> retained_;
   mutable ValidationStats vstats_;
+  mutable std::optional<ExecutionMemo> memo_;
   CommitHook commit_hook_;
 };
 

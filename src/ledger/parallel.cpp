@@ -6,6 +6,7 @@ namespace mv::ledger {
 
 BlockApplyOutcome apply_block(LedgerStateOverlay& scratch,
                               const std::vector<Transaction>& txs,
+                              std::span<const crypto::Digest> digests,
                               const ContractRegistry& contracts, Tick height,
                               crypto::DigestLruSet* sig_cache, ApplyMode mode,
                               std::size_t max_applied) {
@@ -15,7 +16,7 @@ BlockApplyOutcome apply_block(LedgerStateOverlay& scratch,
     const Transaction& tx = txs[i];
     bool preverified = false;
     if (sig_cache != nullptr) {
-      const crypto::Digest digest = tx.digest();
+      const crypto::Digest& digest = digests[i];
       if (sig_cache->contains_and_touch(digest)) {
         preverified = true;
         ++out.sig_hits;

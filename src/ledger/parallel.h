@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/job_queue.h"
@@ -65,6 +66,9 @@ struct ValidationStats {
   std::uint64_t repairs = 0;
   std::uint64_t sig_cache_hits = 0;    ///< signature checks skipped via cache
   std::uint64_t sig_cache_misses = 0;  ///< signature checks actually performed
+  /// Blocks validate/append served from the chain's execution memo instead
+  /// of an apply_block run (ledger/chain.h).
+  std::uint64_t memo_hits = 0;
 
   void record(const BlockApplyOutcome& outcome) {
     ++applies;
@@ -74,14 +78,16 @@ struct ValidationStats {
 };
 
 /// Apply `txs` onto `scratch` (an overlay the caller constructed over the
-/// base state) one by one, in order. Each signature is looked up in
-/// `sig_cache` (when non-null) first; a miss is verified here and, if
+/// base state) one by one, in order. `digests[i]` is `txs[i].digest()`, which
+/// the caller already computed for the tx root. Each signature is looked up
+/// in `sig_cache` (when non-null) first; a miss is verified here and, if
 /// valid, remembered. An invalid signature is left to apply(), which
 /// re-verifies and produces the authoritative error. kAllOrNothing stops at
 /// the first failure; kSkipFailures drops failures and stops once
 /// `max_applied` transactions have applied.
 [[nodiscard]] BlockApplyOutcome apply_block(
     LedgerStateOverlay& scratch, const std::vector<Transaction>& txs,
+    std::span<const crypto::Digest> digests,
     const ContractRegistry& contracts, Tick height,
     crypto::DigestLruSet* sig_cache, ApplyMode mode,
     std::size_t max_applied = std::numeric_limits<std::size_t>::max());

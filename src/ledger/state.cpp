@@ -622,6 +622,13 @@ StateUndo LedgerStateOverlay::capture_undo(const LedgerState& base) const {
   return undo;
 }
 
+LedgerStateOverlay LedgerStateOverlay::rebase(LedgerView* base) && {
+  LedgerStateOverlay out = std::move(*this);
+  out.base_ = base;
+  out.writable_ = base;
+  return out;
+}
+
 std::size_t LedgerStateOverlay::touched() const {
   std::size_t n = balances_.size() + nonces_.size() + audit_appended_.size();
   for (const auto& [contract, delta] : stores_) n += delta.size();

@@ -360,6 +360,13 @@ class LedgerStateOverlay final : public LedgerView {
   /// restores `base` exactly (LedgerState::apply_undo). O(touched).
   [[nodiscard]] StateUndo capture_undo(const LedgerState& base) const;
 
+  /// Hand this overlay's delta to a writer over `base`, which must hold the
+  /// state the delta was computed on (that object or an equal copy). nullptr
+  /// detaches the delta from any base instead: the result then supports only
+  /// rebase() and touched(), so it may outlive the state it was built on.
+  /// The moved-from overlay must not be used again.
+  [[nodiscard]] LedgerStateOverlay rebase(LedgerView* base) &&;
+
   /// Number of accounts/keys recorded in the delta (diagnostics).
   [[nodiscard]] std::size_t touched() const;
 

@@ -1517,5 +1517,190 @@ TEST(Mempool, RandomizedChurnKeepsIndexesConsistent) {
   EXPECT_EQ(pool.stats().repaired, 0u);  // indexes never actually dangled
 }
 
+
+// ---------------------------------------------------------- execution memo
+
+/// Three transfers from alice, nonces 0..2.
+std::vector<Transaction> alice_transfers(ChainFixture& f) {
+  std::vector<Transaction> txs;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    txs.push_back(make_transfer(f.alice, i, f.bob.address(), 1, 1, f.rng));
+  }
+  return txs;
+}
+
+TEST(ExecutionMemo, AssembleThenAppendExecutesOnce) {
+  ChainFixture f;
+  Blockchain chain = f.make_chain();
+  const Block block = chain.assemble(f.v0, alice_transfers(f), 0, f.rng);
+  ASSERT_EQ(block.txs.size(), 3u);
+  ASSERT_TRUE(chain.append(block).ok());
+  EXPECT_EQ(chain.validation_stats().applies, 1u);
+  EXPECT_EQ(chain.validation_stats().memo_hits, 1u);
+  EXPECT_EQ(chain.state().commitment(), chain.state().full_rehash_commitment());
+  EXPECT_EQ(chain.state().commitment().root, block.header.state_root);
+  EXPECT_EQ(chain.state().nonce(f.alice.address()), 3u);
+}
+
+TEST(ExecutionMemo, ValidateThenAppendOnNonProposerExecutesOnce) {
+  ChainFixture f;
+  Blockchain proposer = f.make_chain();
+  Blockchain replica = f.make_chain();
+  const Block block = proposer.assemble(f.v0, alice_transfers(f), 0, f.rng);
+  ASSERT_TRUE(replica.validate(block).ok());
+  EXPECT_EQ(replica.validation_stats().applies, 1u);
+  EXPECT_EQ(replica.validation_stats().memo_hits, 0u);
+  ASSERT_TRUE(replica.append(block).ok());
+  EXPECT_EQ(replica.validation_stats().applies, 1u);
+  EXPECT_EQ(replica.validation_stats().memo_hits, 1u);
+  EXPECT_EQ(replica.state().commitment(), replica.state().full_rehash_commitment());
+  EXPECT_EQ(replica.state().commitment().root, block.header.state_root);
+}
+
+TEST(ExecutionMemo, ResignedWrongStateRootFailsOnTheHitPath) {
+  ChainFixture f;
+  Blockchain chain = f.make_chain();
+  const Block block = chain.assemble(f.v0, alice_transfers(f), 0, f.rng);
+  Block forged = block;
+  forged.header.state_root[0] ^= 1;
+  forged.header.proposer_sig = f.v0.sign(forged.header.signing_bytes(), f.rng);
+  const Status s = chain.append(forged);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.error().code, "block.bad_state_root");
+  EXPECT_EQ(chain.validation_stats().memo_hits, 1u);
+  EXPECT_EQ(chain.validation_stats().applies, 1u);  // assembly only
+  EXPECT_EQ(chain.height(), 0);
+  // The rejection left the memo usable for the honest block.
+  ASSERT_TRUE(chain.append(block).ok());
+  EXPECT_EQ(chain.validation_stats().memo_hits, 2u);
+  EXPECT_EQ(chain.validation_stats().applies, 1u);
+}
+
+TEST(ExecutionMemo, DuplicatedLastTxWithSameHeaderIsExecuted) {
+  // CVE-2012-2459: the tx Merkle tree pairs an odd last leaf with itself, so
+  // [a,b,c] and [a,b,c,c] share a tx root and hence a signed header. The
+  // memo is keyed on the digest list, so the mutated block misses it and is
+  // executed exactly as a fresh replica executes it.
+  ChainFixture f;
+  Blockchain chain = f.make_chain();
+  Blockchain fresh = f.make_chain();
+  const Block block = chain.assemble(f.v0, alice_transfers(f), 0, f.rng);
+  Block mutated = block;
+  mutated.txs.push_back(block.txs.back());
+  ASSERT_EQ(Block::compute_tx_root(mutated.txs), block.header.tx_root);
+
+  const Status on_chain = chain.append(mutated);
+  const Status on_fresh = fresh.append(mutated);
+  ASSERT_FALSE(on_chain.ok());
+  ASSERT_FALSE(on_fresh.ok());
+  EXPECT_EQ(on_chain.error().code, "block.bad_tx");
+  EXPECT_EQ(on_chain.error().code, on_fresh.error().code);
+  EXPECT_EQ(on_chain.error().message, on_fresh.error().message);
+  EXPECT_EQ(chain.validation_stats().memo_hits, 0u);
+  EXPECT_EQ(chain.height(), 0);
+
+  // The honest block is still served from the memo.
+  ASSERT_TRUE(chain.append(block).ok());
+  EXPECT_EQ(chain.validation_stats().memo_hits, 1u);
+  EXPECT_EQ(chain.state().nonce(f.alice.address()), 3u);
+}
+
+TEST(ExecutionMemo, StaleMemoIsNotUsedAfterAnotherBlockCommits) {
+  ChainFixture f;
+  Blockchain chain = f.make_chain();
+  Blockchain other = f.make_chain();
+  const std::vector<Transaction> txs = alice_transfers(f);
+  (void)chain.assemble(f.v0, txs, 0, f.rng);  // memo for [txs] at height 0
+  // A different block wins height 0 ...
+  const Block first = other.assemble(
+      f.v0, {make_transfer(f.bob, 0, f.alice.address(), 7, 1, f.rng)}, 0, f.rng);
+  ASSERT_TRUE(other.append(first).ok());
+  ASSERT_TRUE(chain.append(first).ok());
+  // ... and the same tx list lands at height 1, over a different parent state.
+  const Block second = other.assemble(f.v1, txs, 1, f.rng);
+  ASSERT_EQ(second.txs.size(), 3u);
+  ASSERT_TRUE(other.append(second).ok());
+  ASSERT_TRUE(chain.append(second).ok());
+  EXPECT_EQ(chain.validation_stats().memo_hits, 0u);
+  EXPECT_EQ(chain.validation_stats().applies, 3u);
+  EXPECT_EQ(chain.state().commitment(), other.state().commitment());
+  EXPECT_EQ(chain.state().commitment(), chain.state().full_rehash_commitment());
+}
+
+TEST(ExecutionMemo, FirstBlockOfSharedGenesisChain) {
+  ChainFixture f;
+  const auto genesis = std::make_shared<const LedgerState>(f.state);
+  const StateCommitment before = genesis->commitment();
+  Blockchain chain(f.config, f.contracts, genesis);
+  Blockchain replica(f.config, f.contracts, genesis);
+  const Block block = chain.assemble(f.v0, alice_transfers(f), 0, f.rng);
+  // The memo was computed over the shared genesis; append rebases it onto
+  // the chain's own materialized copy and leaves the shared state alone.
+  ASSERT_TRUE(chain.append(block).ok());
+  ASSERT_TRUE(replica.append(block).ok());
+  EXPECT_EQ(chain.validation_stats().memo_hits, 1u);
+  EXPECT_EQ(replica.validation_stats().memo_hits, 0u);
+  EXPECT_EQ(genesis->commitment(), before);
+  EXPECT_EQ(genesis->nonce(f.alice.address()), 0u);
+  EXPECT_EQ(chain.state().commitment(), replica.state().commitment());
+  EXPECT_EQ(chain.state().commitment(), chain.state().full_rehash_commitment());
+}
+
+TEST(ExecutionMemo, ChainMovedBetweenAssembleAndAppend) {
+  ChainFixture f;
+  std::vector<Blockchain> chains;
+  chains.push_back(f.make_chain());
+  const Block block = chains[0].assemble(f.v0, alice_transfers(f), 0, f.rng);
+  // Growing the vector relocates chains[0]; a second explicit move follows.
+  for (int i = 0; i < 8; ++i) chains.push_back(f.make_chain());
+  Blockchain moved = std::move(chains[0]);
+  ASSERT_TRUE(moved.append(block).ok());
+  EXPECT_EQ(moved.validation_stats().memo_hits, 1u);
+  EXPECT_EQ(moved.validation_stats().applies, 1u);
+  EXPECT_EQ(moved.state().commitment(), moved.state().full_rehash_commitment());
+  EXPECT_EQ(moved.state().commitment().root, block.header.state_root);
+}
+
+TEST(ExecutionMemo, InitFromSnapshotClearsTheSlot) {
+  ChainFixture f;
+  Blockchain source = f.make_chain();
+  ASSERT_TRUE(source.append(source.assemble(f.v0, alice_transfers(f), 0, f.rng)).ok());
+  auto snap = source.export_snapshot(0);
+  ASSERT_TRUE(snap.ok());
+  const Block next = source.assemble(
+      f.v1, {make_transfer(f.bob, 0, f.alice.address(), 7, 1, f.rng)}, 1, f.rng);
+  ASSERT_TRUE(source.append(next).ok());
+
+  Blockchain replica = f.make_chain();
+  (void)replica.assemble(f.v0, alice_transfers(f), 0, f.rng);  // fills the slot
+  ASSERT_TRUE(replica
+                  .init_from_snapshot(snap.value().manifest, snap.value().chunks,
+                                      source.block_at(0)->header)
+                  .ok());
+  ASSERT_TRUE(replica.append(next).ok());
+  EXPECT_EQ(replica.validation_stats().memo_hits, 0u);
+  EXPECT_EQ(replica.validation_stats().applies, 2u);  // assemble + full append
+  EXPECT_EQ(replica.state().commitment(), source.state().commitment());
+}
+
+TEST(ExecutionMemo, CommitteeRoundExecutesEachReplicasBlockOnce) {
+  CommitteeFixture f;
+  ValidatorCommittee committee(f.network, 4, f.contracts, f.genesis, 64, f.rng);
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    committee.submit(make_transfer(f.alice, i, f.bob.address(), 10, 1, f.rng));
+  }
+  ASSERT_TRUE(committee.run_round());
+  ASSERT_TRUE(committee.replicas_consistent());
+  // The leader executes at assembly and is served from the memo by its own
+  // validate and append; every other replica executes at validate.
+  std::uint64_t memo_hits = 0;
+  for (std::size_t i = 0; i < committee.size(); ++i) {
+    const ValidationStats& vs = committee.chain(i).validation_stats();
+    EXPECT_EQ(vs.applies, 1u) << "replica " << i;
+    memo_hits += vs.memo_hits;
+  }
+  EXPECT_EQ(memo_hits, committee.size() + 1);
+}
+
 }  // namespace
 }  // namespace mv::ledger

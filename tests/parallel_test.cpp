@@ -1,6 +1,7 @@
 // Block application tests: differential equivalence of every stack
-// configuration (queue worker counts x verified-signature memo on/off)
-// against a queue-less, memo-less serial oracle and full_rehash_commitment(),
+// configuration (queue worker counts x verified-signature memo on/off), and of
+// an append-only replica that executes every block in full, against a
+// queue-less, memo-less serial oracle and full_rehash_commitment(),
 // bit-identical commitments across those configurations, error parity on
 // invalid blocks with and without the memo, and a consensus committee whose
 // replicas share a threaded queue.
@@ -182,6 +183,13 @@ TEST(ParallelValidation, DifferentialManyBlocksMatchSerialOracle) {
   others.push_back(f.chain(2, /*sig_cache=*/false));
   others.push_back(f.chain(4, /*sig_cache=*/true));
   others.push_back(f.chain(8, /*sig_cache=*/true));
+  // Every chain above appends the block it assembled, so its append is served
+  // from the execution memo. This replica never assembles: each append
+  // executes the block in full. It shares the first chain's signature memo,
+  // as a replica shares one with its mempool.
+  ValidationConfig shared;
+  shared.sig_cache = others[0].config().validation.sig_cache;
+  Blockchain replica(f.config(std::move(shared)), f.contracts, f.genesis);
 
   Rng workload(424242);
   std::size_t total_candidates = 0;
@@ -206,18 +214,25 @@ TEST(ParallelValidation, DifferentialManyBlocksMatchSerialOracle) {
       ASSERT_TRUE(chain.append(block).ok()) << "block " << b;
       ASSERT_EQ(chain.state().commitment(), want) << "block " << b;
     }
+    ASSERT_TRUE(replica.append(block).ok()) << "block " << b;
+    ASSERT_EQ(replica.state().commitment(), want) << "block " << b;
   }
   EXPECT_GE(total_candidates, 5000u);
 
   // Incremental commitments on every chain agree with the from-scratch
-  // oracle, and the memo actually vouched for signatures where configured.
-  EXPECT_EQ(serial.state().commitment(), serial.state().full_rehash_commitment());
-  for (auto& chain : others) {
+  // oracle. The assembling chains executed each block once (at assembly);
+  // the replica executed each in full at append, and the shared signature
+  // memo vouched for the signatures assembly had verified.
+  const auto expect_sound = [](const Blockchain& chain, std::uint64_t memo_hits) {
     EXPECT_EQ(chain.state().commitment(), chain.state().full_rehash_commitment());
-    if (chain.config().validation.sig_cache != nullptr) {
-      EXPECT_GT(chain.validation_stats().sig_cache_hits, 0u);
-    }
-  }
+    EXPECT_EQ(chain.validation_stats().applies, 50u);
+    EXPECT_EQ(chain.validation_stats().memo_hits, memo_hits);
+  };
+  expect_sound(serial, 50);
+  for (const auto& chain : others) expect_sound(chain, 50);
+  expect_sound(replica, 0);
+  EXPECT_GT(replica.validation_stats().sig_cache_hits, 0u);
+  EXPECT_EQ(replica.validation_stats().sig_cache_misses, 0u);
 }
 
 // ----------------------------------------------------------- determinism

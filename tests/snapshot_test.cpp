@@ -1255,13 +1255,16 @@ TEST(SigCache, ValidateThenAppendVerifiesEachSignatureOnce) {
   // Assembly verified (and remembered) each signature once...
   EXPECT_EQ(vs.sig_cache_misses, 3u);
   EXPECT_EQ(vs.sig_cache_hits, 0u);
-  // ...validation and commit both ride the cache.
+  // ...and validation and commit are served from the execution memo, so
+  // neither looks at a signature again.
   ASSERT_TRUE(chain.validate(block).ok());
-  EXPECT_EQ(vs.sig_cache_hits, 3u);
+  EXPECT_EQ(vs.sig_cache_hits, 0u);
   EXPECT_EQ(vs.sig_cache_misses, 3u);
+  EXPECT_EQ(vs.memo_hits, 1u);
   ASSERT_TRUE(chain.append(block).ok());
-  EXPECT_EQ(vs.sig_cache_hits, 6u);
+  EXPECT_EQ(vs.sig_cache_hits, 0u);
   EXPECT_EQ(vs.sig_cache_misses, 3u);
+  EXPECT_EQ(vs.memo_hits, 2u);
   EXPECT_EQ(chain.state().nonce(f.alice.address()), 3u);
 }
 
@@ -1285,9 +1288,11 @@ TEST(SigCache, MempoolAdmissionFeedsBlockValidation) {
   // Admission already verified every signature: assembly is all hits.
   EXPECT_EQ(chain.validation_stats().sig_cache_hits, 4u);
   EXPECT_EQ(chain.validation_stats().sig_cache_misses, 0u);
+  // Commit reuses assembly's execution: no further signature lookups.
   ASSERT_TRUE(chain.append(block).ok());
-  EXPECT_EQ(chain.validation_stats().sig_cache_hits, 8u);
+  EXPECT_EQ(chain.validation_stats().sig_cache_hits, 4u);
   EXPECT_EQ(chain.validation_stats().sig_cache_misses, 0u);
+  EXPECT_EQ(chain.validation_stats().memo_hits, 1u);
 }
 
 TEST(SigCache, TamperingMissesTheCache) {
