@@ -180,6 +180,70 @@ BENCHMARK(BM_BlockAssembleValidate)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
+// Commit path of one chain: assemble a 256-tx block on the tip and append
+// it, block after block, over a world of `range(0)` funded accounts.
+// Recipients spread over the whole world, so each block touches ~512 leaves
+// across the accounts tree. Signing happens outside the timed region, and a
+// warm-up block outside it pays the one-off copy of the shared genesis.
+void BM_BlockAssembleAppend(benchmark::State& state) {
+  const auto accounts = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kTxs = 256;
+  Rng rng(17);
+  auto contracts = std::make_shared<ContractRegistry>();
+  crypto::Wallet validator(rng);
+  LedgerState genesis;
+  for (std::size_t i = 0; i < accounts; ++i) {
+    genesis.credit(crypto::Address{0x100000 + i}, 1);
+  }
+  std::vector<crypto::Wallet> senders;
+  senders.reserve(kTxs);
+  for (std::size_t i = 0; i < kTxs; ++i) {
+    senders.emplace_back(rng);
+    genesis.credit(senders.back().address(), 1'000'000'000);
+  }
+  ChainConfig config;
+  config.validators = {validator.public_key()};
+  config.max_txs_per_block = kTxs;
+  Blockchain chain(config, contracts, std::move(genesis));
+  std::uint64_t nonce = 0;
+  const auto next_block_txs = [&] {
+    std::vector<Transaction> txs;
+    txs.reserve(kTxs);
+    for (const crypto::Wallet& sender : senders) {
+      const crypto::Address to{0x100000 + rng.next_below(accounts)};
+      txs.push_back(make_transfer(sender, nonce, to, 1, 1, rng));
+    }
+    ++nonce;
+    return txs;
+  };
+  const auto commit = [&](const std::vector<Transaction>& txs) {
+    const Block block =
+        chain.assemble(validator, txs, static_cast<Tick>(chain.height()), rng);
+    return block.txs.size() == kTxs && chain.append(block).ok();
+  };
+  if (!commit(next_block_txs())) {
+    state.SkipWithError("warm-up block did not commit");
+    return;
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    const std::vector<Transaction> txs = next_block_txs();
+    state.ResumeTiming();
+    if (!commit(txs)) {
+      state.SkipWithError("block did not commit");
+      return;
+    }
+  }
+  benchmark::DoNotOptimize(chain.state().commitment());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kTxs));
+}
+BENCHMARK(BM_BlockAssembleAppend)
+    ->Arg(1000)
+    ->Arg(100000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 // Block validation of a 512-tx block of disjoint transfers (distinct
 // senders, distinct recipients) over a world of `range(0)` funded accounts,
 // with no signature memo. The candidate set and the block are built once

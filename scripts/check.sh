@@ -48,6 +48,22 @@ if echo "${memo_out}" | grep -qi 'skipped'; then
   exit 1
 fi
 
+echo "== gate: merkle prepared-install battery must run (not be skipped) =="
+# Append installs the accounts-tree digests root_with() recorded instead of
+# re-hashing them; the battery pins that install against the structural
+# oracle, onto equal-content maps of another history, and the base-root guard
+# on maps with other content, so it must never be renamed away or skipped.
+prep_out="$(ctest --test-dir build -R 'MerkleMapPrepared' --no-tests=error --output-on-failure 2>&1)" || {
+  echo "${prep_out}"
+  echo "FAIL: merkle prepared-install tests did not run or did not pass"
+  exit 1
+}
+if echo "${prep_out}" | grep -qi 'skipped'; then
+  echo "${prep_out}"
+  echo "FAIL: merkle prepared-install tests were skipped"
+  exit 1
+fi
+
 echo "== gate: proof fuzz (10k keys + mutation sweep) must run (not be skipped) =="
 # Every present key must prove, every absent key must non-membership-prove,
 # and no single-byte mutation of an encoded proof may survive verification.

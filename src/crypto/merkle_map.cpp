@@ -14,6 +14,15 @@ unsigned nibble(std::uint64_t key, int depth) {
   return static_cast<unsigned>((key >> (60 - 4 * depth)) & 0xF);
 }
 
+/// Identity of the subtree at `depth` on `key`'s path: the key's first
+/// `depth` nibbles with the depth in the (always clear) low nibble. Pre-order
+/// traversal with ascending child nibbles visits subtrees in ascending id.
+std::uint64_t subtree_id(std::uint64_t key, int depth) {
+  const std::uint64_t prefix =
+      depth == 0 ? 0 : key & (~std::uint64_t{0} << (64 - 4 * depth));
+  return prefix | static_cast<std::uint64_t>(depth);
+}
+
 }  // namespace
 
 struct MerkleMap::Node {
@@ -103,20 +112,25 @@ void ensure(const Node* n) {
   n->dirty = false;
 }
 
-/// Either an update (leaf hash) or a tombstone, pre-hashed from a Delta.
-struct DeltaEntry {
-  std::uint64_t key = 0;
-  std::optional<Digest> leaf;  ///< nullopt = erase
-};
+using DeltaEntry = MerkleMap::Prepared::Entry;
+/// Subtree digests recorded for MerkleMap::apply (Prepared::inner). The
+/// recursions below take a nullable pointer: nullptr records nothing.
+using InnerDigests = std::vector<std::pair<std::uint64_t, Digest>>;
 
 /// Canonical commitment of an explicit (key, leaf_hash) set at `depth`.
 /// `leaves` must be sorted by key and unique. Shared by the virtual-merge
 /// path (collision regions) and the reference oracle.
 Digest build_from_leaves(int depth,
-                         std::span<const std::pair<std::uint64_t, Digest>> leaves) {
+                         std::span<const std::pair<std::uint64_t, Digest>> leaves,
+                         InnerDigests* record) {
   if (leaves.empty()) return Digest{};
   if (leaves.size() == 1) return leaves[0].second;
   assert(depth < 16);
+  // Reserve the slot before recursing so the record stays in pre-order.
+  const std::size_t slot = record != nullptr ? record->size() : 0;
+  if (record != nullptr) {
+    record->emplace_back(subtree_id(leaves[0].first, depth), Digest{});
+  }
   std::array<Digest, 16> slots;
   std::array<const Digest*, 16> children{};
   std::size_t i = 0;
@@ -124,12 +138,14 @@ Digest build_from_leaves(int depth,
     std::size_t j = i;
     while (j < leaves.size() && nibble(leaves[j].first, depth) == nib) ++j;
     if (j > i) {
-      slots[nib] = build_from_leaves(depth + 1, leaves.subspan(i, j - i));
+      slots[nib] = build_from_leaves(depth + 1, leaves.subspan(i, j - i), record);
       children[nib] = &slots[nib];
       i = j;
     }
   }
-  return inner_hash(children);
+  const Digest digest = inner_hash(children);
+  if (record != nullptr) (*record)[slot].second = digest;
+  return digest;
 }
 
 struct MergeResult {
@@ -139,8 +155,10 @@ struct MergeResult {
 
 /// Commitment of (subtree at `node`) ⊕ (delta `entries`), computed without
 /// touching the tree. Cached hashes must be fresh (root() flushed) before
-/// the top-level call.
-MergeResult merge(const Node* node, int depth, std::span<const DeltaEntry> entries) {
+/// the top-level call. Every subtree evaluated on the delta's paths is
+/// appended to `record` (when given) in pre-order.
+MergeResult merge(const Node* node, int depth, std::span<const DeltaEntry> entries,
+                  InnerDigests* record) {
   if (entries.empty()) {
     if (node == nullptr) return {};
     return {node->hash, node->leaf ? 1u : node->count};
@@ -158,15 +176,19 @@ MergeResult merge(const Node* node, int depth, std::span<const DeltaEntry> entri
       if (node_pending && node->key <= e.key) {
         if (node->key < e.key) leaves.emplace_back(node->key, node->hash);
         node_pending = false;  // equal key: delta overrides the base leaf
-        if (node->key == e.key && !e.leaf.has_value()) continue;
+        if (node->key == e.key && !e.value.has_value()) continue;
       }
-      if (e.leaf.has_value()) leaves.emplace_back(e.key, *e.leaf);
+      if (e.value.has_value()) leaves.emplace_back(e.key, e.leaf);
     }
     if (node_pending) leaves.emplace_back(node->key, node->hash);
-    return {build_from_leaves(depth, leaves), leaves.size()};
+    return {build_from_leaves(depth, leaves, record), leaves.size()};
   }
   // Inner node: partition the (sorted) delta by this depth's nibble and
   // recurse; untouched children contribute their cached digest for free.
+  const std::size_t slot = record != nullptr ? record->size() : 0;
+  if (record != nullptr) {
+    record->emplace_back(subtree_id(entries[0].key, depth), Digest{});
+  }
   std::array<Digest, 16> slots;
   std::array<const Digest*, 16> children{};
   std::size_t total = 0;
@@ -175,8 +197,8 @@ MergeResult merge(const Node* node, int depth, std::span<const DeltaEntry> entri
   for (unsigned nib = 0; nib < 16; ++nib) {
     std::size_t j = i;
     while (j < entries.size() && nibble(entries[j].key, depth) == nib) ++j;
-    const MergeResult r =
-        merge((*node->kids)[nib].get(), depth + 1, entries.subspan(i, j - i));
+    const MergeResult r = merge((*node->kids)[nib].get(), depth + 1,
+                                entries.subspan(i, j - i), record);
     i = j;
     if (r.count == 0) continue;
     slots[nib] = r.digest;
@@ -184,9 +206,36 @@ MergeResult merge(const Node* node, int depth, std::span<const DeltaEntry> entri
     single = &slots[nib];
     total += r.count;
   }
-  if (total == 0) return {};
-  if (total == 1) return {*single, 1};
-  return {inner_hash(children), total};
+  MergeResult out;
+  if (total == 1) out = {*single, 1};
+  if (total > 1) out = {inner_hash(children), total};
+  if (record != nullptr) (*record)[slot].second = out.digest;
+  return out;
+}
+
+/// ensure() for a tree whose post-update subtree digests are known: a dirty
+/// inner node takes its digest from `known` (ascending by subtree id) and is
+/// hashed only when its subtree is missing there. `prefix` is the node's
+/// subtree id without the depth.
+void install(const Node* n, int depth, std::uint64_t prefix,
+             std::span<const std::pair<std::uint64_t, Digest>> known) {
+  if (n->leaf || !n->dirty) return;
+  for (unsigned i = 0; i < 16; ++i) {
+    if (const Node* kid = (*n->kids)[i].get(); kid != nullptr) {
+      install(kid, depth + 1, prefix | (std::uint64_t{i} << (60 - 4 * depth)),
+              known);
+    }
+  }
+  const std::uint64_t id = prefix | static_cast<std::uint64_t>(depth);
+  const auto it = std::lower_bound(
+      known.begin(), known.end(), id,
+      [](const auto& entry, std::uint64_t want) { return entry.first < want; });
+  if (it != known.end() && it->first == id) {
+    n->hash = it->second;
+    n->dirty = false;
+  } else {
+    ensure(n);  // the children are clean now: this hashes n alone
+  }
 }
 
 /// Build the physical subtree for a strictly ascending leaf span at `depth`.
@@ -305,13 +354,17 @@ Digest MerkleMap::leaf_hash(std::uint64_t key, const Digest& value) {
 }
 
 void MerkleMap::put(std::uint64_t key, const Digest& value) {
-  const Digest lh = leaf_hash(key, value);
+  put_hashed(key, value, leaf_hash(key, value));
+}
+
+void MerkleMap::put_hashed(std::uint64_t key, const Digest& value,
+                           const Digest& leaf) {
   if (!root_) {
-    root_ = make_leaf(key, value, lh);
+    root_ = make_leaf(key, value, leaf);
     size_ = 1;
     return;
   }
-  if (insert(root_, 0, key, value, lh)) ++size_;
+  if (insert(root_, 0, key, value, leaf)) ++size_;
 }
 
 MerkleMap MerkleMap::from_sorted_leaves(
@@ -565,17 +618,36 @@ Result<MerkleMapProof> MerkleMapProof::decode(const Bytes& bytes) {
   return proof;
 }
 
-Digest MerkleMap::root_with(const Delta& delta) const {
-  if (delta.empty()) return root();
-  (void)root();  // flush cached hashes so merge() can trust them
-  std::vector<DeltaEntry> entries;
-  entries.reserve(delta.size());
+Digest MerkleMap::root_with(const Delta& delta, Prepared* prepared) const {
+  if (delta.empty() && prepared == nullptr) return root();
+  Prepared scratch;
+  Prepared& p = prepared != nullptr ? *prepared : scratch;
+  p = Prepared{};
+  p.base_root = root();  // also flushes cached hashes so merge() can trust them
+  p.entries.reserve(delta.size());
   for (const auto& [key, value] : delta) {
-    entries.push_back(DeltaEntry{
-        key, value.has_value() ? std::optional(leaf_hash(key, *value))
-                               : std::nullopt});
+    p.entries.push_back(DeltaEntry{
+        key, value, value.has_value() ? leaf_hash(key, *value) : Digest{}});
   }
-  return merge(root_.get(), 0, entries).digest;
+  const MergeResult r = merge(root_.get(), 0, p.entries,
+                              prepared != nullptr ? &p.inner : nullptr);
+  p.root = r.digest;
+  p.size = r.count;
+  return r.digest;
+}
+
+void MerkleMap::apply(const Prepared& prepared) {
+  // Equal roots mean equal content, and the recorded digests are functions
+  // of content alone; any other base falls back to lazy re-hashing.
+  const bool trusted = root() == prepared.base_root;
+  for (const DeltaEntry& e : prepared.entries) {
+    if (e.value.has_value()) {
+      put_hashed(e.key, *e.value, e.leaf);
+    } else {
+      erase(e.key);
+    }
+  }
+  if (trusted && root_) install(root_.get(), 0, 0, prepared.inner);
 }
 
 std::size_t MerkleMap::size_with(const Delta& delta) const {
@@ -593,7 +665,7 @@ Digest merkle_map_reference_root(
   for (auto& [key, value] : leaves) value = MerkleMap::leaf_hash(key, value);
   std::sort(leaves.begin(), leaves.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  return build_from_leaves(0, leaves);
+  return build_from_leaves(0, leaves, nullptr);
 }
 
 }  // namespace mv::crypto

@@ -12,7 +12,9 @@
 // paths, so after m point updates the next root() costs O(m · log n) hashing
 // instead of O(n). root_with() computes the root of "this map plus a delta"
 // without mutating the map at all — the ledger state overlay uses it to
-// commit to a block's post-state in O(touched · log n).
+// commit to a block's post-state in O(touched · log n) — and can record what
+// it hashed, so that apply() later installs that post-state without hashing
+// it a second time.
 //
 // prove(key) produces a compact inclusion proof — the present-children
 // bitmap and sibling digests of every inner node on the key's nibble path —
@@ -106,9 +108,39 @@ class MerkleMap {
   /// Lazily re-hashes dirty paths: O(dirty · log n), O(1) when clean.
   [[nodiscard]] Digest root() const;
 
+  /// What root_with() computed for one delta, kept so apply() can install
+  /// the post-delta tree without hashing any of it again.
+  struct Prepared {
+    struct Entry {
+      std::uint64_t key = 0;
+      std::optional<Digest> value;  ///< nullopt = erase
+      Digest leaf{};                ///< leaf_hash(key, *value) when engaged
+    };
+    Digest base_root{};          ///< root of the map root_with() ran on
+    Digest root{};               ///< root with the delta applied
+    std::size_t size = 0;        ///< key count with the delta applied
+    std::vector<Entry> entries;  ///< the delta, ascending by key
+    /// Digest of every subtree root_with() evaluated, keyed by
+    /// (key prefix | depth) and ascending by that key. The commitment is
+    /// shape-independent — a subtree at (depth, prefix) commits to the keys
+    /// under that prefix and nothing else — so each digest holds for any
+    /// tree with the same content, whatever its insert/erase history.
+    std::vector<std::pair<std::uint64_t, Digest>> inner;
+  };
+
   /// Root of this map with `delta` applied on top, without mutating the map.
-  /// O(|delta| · log n) hashing against the cached tree.
-  [[nodiscard]] Digest root_with(const Delta& delta) const;
+  /// O(|delta| · log n) hashing against the cached tree. When `prepared` is
+  /// given, everything computed on the way is recorded there for apply().
+  [[nodiscard]] Digest root_with(const Delta& delta,
+                                 Prepared* prepared = nullptr) const;
+
+  /// Apply a delta that root_with() prepared. When this map's root equals
+  /// prepared.base_root (the map root_with() ran on, or one with equal
+  /// content), the new leaves keep their known hashes and every dirtied inner
+  /// node takes its digest from prepared.inner, so nothing is re-hashed
+  /// except subtrees missing there. On any other map the delta is applied as
+  /// by put()/erase() and hashed on the next root(). O(|delta| · log n).
+  void apply(const Prepared& prepared);
 
   /// Number of keys after applying `delta` (erases of absent keys ignored).
   [[nodiscard]] std::size_t size_with(const Delta& delta) const;
@@ -130,6 +162,9 @@ class MerkleMap {
   struct Node;  ///< opaque; defined in merkle_map.cpp
 
  private:
+  /// put() with the leaf hash already known.
+  void put_hashed(std::uint64_t key, const Digest& value, const Digest& leaf);
+
   std::unique_ptr<Node> root_;
   std::size_t size_ = 0;
 };

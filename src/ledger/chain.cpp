@@ -84,12 +84,11 @@ Block Blockchain::assemble(const crypto::Wallet& proposer,
     applied.push_back(digests[i]);
   }
   block.header.tx_root = crypto::MerkleTree(applied).root();
-  const StateCommitment commitment = scratch.commitment();
-  block.header.state_root = commitment.root;
+  StagedCommit staged = state().stage(std::move(scratch), wants_undo());
+  block.header.state_root = staged.commitment.root;
   block.header.proposer_sig = proposer.sign(block.header.signing_bytes(), rng);
   memo_ = ExecutionMemo{block.header.prev_hash, block.header.height,
-                        std::move(applied), std::move(scratch).rebase(nullptr),
-                        commitment};
+                        std::move(applied), std::move(staged)};
   return block;
 }
 
@@ -117,13 +116,15 @@ Status Blockchain::validate(const Block& block) const {
     return Status::fail("block.bad_tx_root", "Merkle root mismatch");
   }
   // Execution is a deterministic function of parent state, height and the
-  // exact tx list, so a memo with this key already holds its result.
+  // exact tx list, so a memo with this key already holds its result — unless
+  // it was staged without the undo a commit now needs (a hook set since).
   const bool hit = memo_.has_value() && memo_->parent == h.prev_hash &&
-                   memo_->height == h.height && memo_->tx_digests == digests;
-  StateCommitment commitment;
+                   memo_->height == h.height && memo_->tx_digests == digests &&
+                   (memo_->staged.undo.has_value() || !wants_undo());
+  crypto::Digest root;
   if (hit) {
     ++vstats_.memo_hits;
-    commitment = memo_->commitment;
+    root = memo_->staged.commitment.root;
   } else {
     auto scratch = LedgerStateOverlay::reader(state());
     const auto outcome = apply_block(scratch, block.txs, digests, *contracts_,
@@ -135,13 +136,14 @@ Status Blockchain::validate(const Block& block) const {
                           "tx " + std::to_string(outcome.failed_index) + ": " +
                               outcome.status.error().to_string());
     }
-    commitment = scratch.commitment();
-    if (commitment.root == h.state_root) {
+    StagedCommit staged = state().stage(std::move(scratch), wants_undo());
+    root = staged.commitment.root;
+    if (root == h.state_root) {
       memo_ = ExecutionMemo{h.prev_hash, h.height, std::move(digests),
-                            std::move(scratch).rebase(nullptr), commitment};
+                            std::move(staged)};
     }
   }
-  if (commitment.root != h.state_root) {
+  if (root != h.state_root) {
     return Status::fail("block.bad_state_root", "post-state mismatch");
   }
   return {};
@@ -149,24 +151,22 @@ Status Blockchain::validate(const Block& block) const {
 
 Status Blockchain::append(const Block& block) {
   if (auto s = validate(block); !s.ok()) return s;
-  // First committed block: materialize the working copy of the shared
-  // genesis (a no-op on the copying constructor path). The memo's delta was
-  // computed on an equal state, so it rebases onto the copy unchanged.
+  // validate() left this block's stage in the memo. On the first committed
+  // block it was staged over the shared genesis and installs onto the
+  // working copy materialized here, which has equal content.
   LedgerState& state = mutable_state();
-  auto scratch = std::move(memo_->delta).rebase(&state);
+  StagedCommit staged = std::move(memo_->staged);
   memo_.reset();
-  // The inverse delta must be read off the pre-commit base; it feeds the
-  // retention ring that serves historical proofs and snapshot export, and
-  // tells the commit hook which accounts/stores the block touched.
-  StateUndo undo;
-  const bool want_undo =
-      config_.state_retention > 0 || static_cast<bool>(commit_hook_);
-  if (want_undo) undo = scratch.capture_undo(state);
-  scratch.commit();
+  // The inverse delta feeds the retention ring that serves historical proofs
+  // and snapshot export, and tells the commit hook which accounts/stores the
+  // block touched.
+  StateUndo undo = staged.undo.has_value() ? std::move(*staged.undo) : StateUndo{};
+  const StateCommitment commitment = staged.commitment;
+  state.install(std::move(staged));
   blocks_.push_back(block);
   if (commit_hook_) commit_hook_(block, undo);
   if (config_.state_retention > 0) {
-    retained_.push_back(Retained{std::move(undo), state.commitment()});
+    retained_.push_back(Retained{std::move(undo), commitment});
     if (retained_.size() > config_.state_retention) retained_.pop_front();
   }
   return {};
@@ -230,12 +230,11 @@ AccountProof make_account_proof(const LedgerState& state, crypto::Address addr,
   AccountProof ap;
   ap.address = addr;
   ap.height = block_height;
-  const auto bal = state.find_balance(addr);
-  const std::uint64_t nonce = state.nonce(addr);
-  ap.statement.has_balance = bal.has_value();
-  ap.statement.balance = bal.value_or(0);
-  ap.statement.nonce = nonce;
-  ap.statement.exists = bal.has_value() || nonce != 0;
+  const Account acc = state.account(addr);
+  ap.statement.has_balance = acc.has_balance;
+  ap.statement.balance = acc.balance;
+  ap.statement.nonce = acc.nonce;
+  ap.statement.exists = acc.exists();
   ap.commitment = state.commitment();
   ap.proof = state.prove_account(addr);
   return ap;

@@ -75,17 +75,19 @@ class Blockchain {
   [[nodiscard]] const crypto::PublicKey& expected_proposer(std::int64_t height) const;
 
   /// Proposer side: trial-apply candidates in order, drop any that fail, and
-  /// build a signed block on top of the current tip. The block's delta and
-  /// commitment go into the execution memo, so appending it here does not
-  /// execute it again.
+  /// build a signed block on top of the current tip. The block's staged
+  /// commit goes into the execution memo, so appending it here neither
+  /// executes nor hashes it again.
   [[nodiscard]] Block assemble(const crypto::Wallet& proposer,
                                const std::vector<Transaction>& candidates,
                                Tick timestamp, Rng& rng) const;
 
   /// validate() + commit. On any failure the chain is unchanged. The block's
-  /// delta comes from the execution memo, which validate() fills on a miss,
-  /// so a block assemble() or validate() already ran here is not executed
-  /// again. A successful append consumes the memo.
+  /// staged commit comes from the execution memo, which validate() fills on
+  /// a miss, and is installed as staged (LedgerState::install): a block
+  /// assemble() or validate() already ran here is not executed again, and no
+  /// block's post-state is hashed twice. A successful append consumes the
+  /// memo.
   [[nodiscard]] Status append(const Block& block);
 
   /// Observer of successful commits: the block just appended plus the
@@ -170,18 +172,23 @@ class Blockchain {
   [[nodiscard]] Result<std::size_t> import_blocks(const Bytes& data);
 
  private:
-  /// One-slot execution memo (DESIGN.md §7 "Execution memo"): the detached
-  /// delta and post-state commitment of the last block assemble() built or
-  /// validate() accepted, keyed by everything execution depends on. The key
-  /// is the exact digest list, not the tx root: a Merkle root with a
-  /// duplicated odd last leaf matches two different lists.
+  /// One-slot execution memo (DESIGN.md §7 "Execution memo"): the staged
+  /// commit of the last block assemble() built or validate() accepted, keyed
+  /// by everything execution depends on. The key is the exact digest list,
+  /// not the tx root: a Merkle root with a duplicated odd last leaf matches
+  /// two different lists.
   struct ExecutionMemo {
     crypto::Digest parent;
     std::int64_t height = 0;
     std::vector<crypto::Digest> tx_digests;
-    LedgerStateOverlay delta;  ///< detached; only ever rebased onto the tip
-    StateCommitment commitment;
+    StagedCommit staged;
   };
+
+  /// Whether a commit needs its inverse delta: for the retention ring or for
+  /// the commit hook.
+  [[nodiscard]] bool wants_undo() const {
+    return config_.state_retention > 0 || static_cast<bool>(commit_hook_);
+  }
 
   /// The proof construction itself (prove_account minus queue admission).
   [[nodiscard]] Result<AccountProof> prove_account_now(

@@ -64,11 +64,12 @@ std::vector<LedgerState> partition_genesis(const LedgerState& genesis,
                                            std::size_t num_shards) {
   if (num_shards == 0) num_shards = 1;
   std::vector<LedgerState> out(num_shards);
-  for (const auto& [addr, balance] : genesis.balances()) {
-    out[shard_of(addr, num_shards)].set_balance(addr, balance);
-  }
-  for (const auto& [addr, nonce] : genesis.nonces()) {
-    if (nonce != 0) out[shard_of(addr, num_shards)].set_nonce(addr, nonce);
+  // Table order is arbitrary; so is insertion order here, because every
+  // commitment and export is defined on the account set alone.
+  for (const auto& [addr, acc] : genesis.accounts()) {
+    LedgerState& shard = out[shard_of(addr, num_shards)];
+    if (acc.has_balance) shard.set_balance(addr, acc.balance);
+    if (acc.nonce != 0) shard.set_nonce(addr, acc.nonce);
   }
   // Non-account sections have no per-account home; they stay on shard 0.
   // A normal genesis carries none of them.

@@ -163,43 +163,22 @@ Bytes encode_snapshot_payload(const LedgerState& state) {
   ByteWriter w;
   w.str(kPayloadTag);
 
-  // Accounts, in strictly ascending address order. Only leaf-bearing entries
-  // are emitted (a balance entry, or a nonzero nonce) — exactly the set the
-  // accounts commitment covers — so encoding is canonical even when the raw
-  // maps hold commitment-inert zero-nonce entries.
-  struct AccountEntry {
-    std::uint64_t addr;
-    bool has_balance;
-    std::uint64_t balance;
-    std::uint64_t nonce;
-  };
-  std::vector<AccountEntry> entries;
-  entries.reserve(state.balances().size() + state.nonces().size());
-  auto bit = state.balances().begin();
-  auto nit = state.nonces().begin();
-  const auto bend = state.balances().end();
-  const auto nend = state.nonces().end();
-  while (bit != bend || nit != nend) {
-    AccountEntry e{0, false, 0, 0};
-    if (nit == nend || (bit != bend && bit->first < nit->first)) {
-      e = {bit->first.value, true, bit->second, 0};
-      ++bit;
-    } else if (bit == bend || nit->first < bit->first) {
-      e = {nit->first.value, false, 0, nit->second};
-      ++nit;
-    } else {
-      e = {bit->first.value, true, bit->second, nit->second};
-      ++bit;
-      ++nit;
-    }
-    if (e.has_balance || e.nonce != 0) entries.push_back(e);
-  }
+  // Accounts, in strictly ascending address order (the table is unordered,
+  // so sort here). Every stored record carries a leaf (a balance entry, or a
+  // nonzero nonce) — exactly the set the accounts commitment covers.
+  // One pass over the node-based table (a range constructor would walk it
+  // twice, once just to count).
+  std::vector<std::pair<crypto::Address, Account>> entries;
+  entries.reserve(state.accounts().size());
+  for (const auto& entry : state.accounts()) entries.push_back(entry);
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   w.u64(entries.size());
-  for (const auto& e : entries) {
-    w.u64(e.addr);
-    w.u8(e.has_balance ? 1 : 0);
-    if (e.has_balance) w.u64(e.balance);
-    w.u64(e.nonce);
+  for (const auto& [addr, acc] : entries) {
+    w.u64(addr.value);
+    w.u8(acc.has_balance ? 1 : 0);
+    if (acc.has_balance) w.u64(acc.balance);
+    w.u64(acc.nonce);
   }
 
   // Audit log, oldest first (the order the chain hash folds in).
@@ -245,7 +224,7 @@ Result<LedgerState> decode_snapshot_payload(const Bytes& bytes) {
   // Entries are validated into a sorted seed list and bulk-loaded in one
   // pass (LedgerState::load_accounts) — per-entry set_balance/set_nonce
   // round trips through the Merkle tree made install O(state)-rehash-bound.
-  std::vector<AccountSeed> seeds;
+  std::vector<std::pair<crypto::Address, Account>> seeds;
   seeds.reserve(std::min<std::uint64_t>(account_count.value(), 1u << 20));
   for (std::uint64_t i = 0; i < account_count.value(); ++i) {
     const auto addr = r.u64();
@@ -272,9 +251,8 @@ Result<LedgerState> decode_snapshot_payload(const Bytes& bytes) {
       // A leafless entry would be semantically inert — not canonical.
       return make_error("snapshot.bad_entry", "entry carries no account leaf");
     }
-    seeds.push_back(AccountSeed{
-        crypto::Address{addr.value()},
-        has_balance ? std::optional(balance) : std::nullopt, nonce.value()});
+    seeds.emplace_back(crypto::Address{addr.value()},
+                       Account{has_balance, balance, nonce.value()});
   }
   state.load_accounts(seeds);
 

@@ -1,5 +1,6 @@
 #include "ledger/state.h"
 
+#include <cassert>
 #include <cstdlib>
 
 #include "common/logging.h"
@@ -64,6 +65,12 @@ crypto::Digest account_leaf_digest(bool has_balance, std::uint64_t balance,
   w.u64(nonce);
   return w.digest();
 }
+
+namespace {
+crypto::Digest leaf_of(const Account& acc) {
+  return account_leaf_digest(acc.has_balance, acc.balance, acc.nonce);
+}
+}  // namespace
 
 // Combine the root from the section digests (the commitment layout spec in
 // DESIGN.md §"State commitment" documents this byte order).
@@ -169,41 +176,47 @@ Status LedgerView::apply(const Transaction& tx,
 // ------------------------------------------------------------ LedgerState
 
 std::optional<std::uint64_t> LedgerState::find_balance(crypto::Address a) const {
-  const auto it = balances_.find(a);
-  if (it == balances_.end()) return std::nullopt;
-  return it->second;
+  const auto it = accounts_.find(a);
+  if (it == accounts_.end() || !it->second.has_balance) return std::nullopt;
+  return it->second.balance;
 }
 
 std::uint64_t LedgerState::nonce(crypto::Address a) const {
-  const auto it = nonces_.find(a);
-  return it == nonces_.end() ? 0 : it->second;
+  const auto it = accounts_.find(a);
+  return it == accounts_.end() ? 0 : it->second.nonce;
 }
 
-void LedgerState::refresh_account_leaf(crypto::Address a) {
-  const auto bal = find_balance(a);
-  const std::uint64_t n = nonce(a);
-  if (bal.has_value() || n != 0) {
-    accounts_.put(a.value, account_leaf_digest(bal.has_value(), bal.value_or(0), n));
+Account LedgerState::account(crypto::Address a) const {
+  const auto it = accounts_.find(a);
+  return it == accounts_.end() ? Account{} : it->second;
+}
+
+void LedgerState::put_account(crypto::Address a, const Account& acc) {
+  if (acc.exists()) {
+    accounts_[a] = acc;
+    account_tree_.put(a.value, leaf_of(acc));
   } else {
-    accounts_.erase(a.value);
+    accounts_.erase(a);
+    account_tree_.erase(a.value);
   }
 }
 
 void LedgerState::set_balance(crypto::Address a, std::uint64_t value) {
-  balances_[a] = value;
-  refresh_account_leaf(a);
+  Account acc = account(a);
+  acc.has_balance = true;
+  acc.balance = value;
+  put_account(a, acc);
 }
 
 void LedgerState::set_nonce(crypto::Address a, std::uint64_t value) {
-  nonces_[a] = value;
-  refresh_account_leaf(a);
+  Account acc = account(a);
+  acc.nonce = value;
+  put_account(a, acc);
 }
 
-void LedgerState::load_accounts(const std::vector<AccountSeed>& sorted) {
-  std::vector<std::pair<const crypto::Address, std::uint64_t>> balances;
-  std::vector<std::pair<const crypto::Address, std::uint64_t>> nonces;
+void LedgerState::load_accounts(
+    const std::vector<std::pair<crypto::Address, Account>>& sorted) {
   std::vector<std::pair<std::uint64_t, crypto::Digest>> leaves;
-  balances.reserve(sorted.size());
   leaves.reserve(sorted.size());
   // Value digests in one batched pass: the preimage (flag || balance ||
   // nonce, 17 bytes — the exact byte stream account_leaf_digest hashes) fits
@@ -212,30 +225,24 @@ void LedgerState::load_accounts(const std::vector<AccountSeed>& sorted) {
   std::vector<std::uint8_t> preimages(sorted.size() * kPreimage);
   std::vector<crypto::ShortInput> inputs(sorted.size());
   for (std::size_t i = 0; i < sorted.size(); ++i) {
-    const AccountSeed& s = sorted[i];
+    const Account& acc = sorted[i].second;
     std::uint8_t* p = preimages.data() + i * kPreimage;
-    p[0] = s.balance.has_value() ? 1 : 0;
-    const std::uint64_t bal = s.balance.value_or(0);
+    p[0] = acc.has_balance ? 1 : 0;
     for (int b = 0; b < 8; ++b) {
-      p[1 + b] = static_cast<std::uint8_t>(bal >> (8 * b));
-      p[9 + b] = static_cast<std::uint8_t>(s.nonce >> (8 * b));
+      p[1 + b] = static_cast<std::uint8_t>(acc.balance >> (8 * b));
+      p[9 + b] = static_cast<std::uint8_t>(acc.nonce >> (8 * b));
     }
     inputs[i] = {p, kPreimage};
   }
   std::vector<crypto::Digest> digests(sorted.size());
   crypto::sha256_short_batch(inputs, digests.data());
+  accounts_.clear();
+  accounts_.reserve(sorted.size());
   for (std::size_t i = 0; i < sorted.size(); ++i) {
-    const AccountSeed& s = sorted[i];
-    if (s.balance.has_value()) balances.emplace_back(s.addr, *s.balance);
-    if (s.nonce != 0) nonces.emplace_back(s.addr, s.nonce);
-    leaves.emplace_back(s.addr.value, digests[i]);
+    accounts_.emplace(sorted[i].first, sorted[i].second);
+    leaves.emplace_back(sorted[i].first.value, digests[i]);
   }
-  // Range construction of a std::map from a sorted range is O(n).
-  balances_ = std::map<crypto::Address, std::uint64_t>(balances.begin(),
-                                                       balances.end());
-  nonces_ = std::map<crypto::Address, std::uint64_t>(nonces.begin(),
-                                                     nonces.end());
-  accounts_ = crypto::MerkleMap::from_sorted_leaves(leaves);
+  account_tree_ = crypto::MerkleMap::from_sorted_leaves(leaves);
 }
 
 void LedgerState::append_audit(StoredAuditRecord record) {
@@ -291,8 +298,7 @@ void LedgerState::materialize_store(const std::string& contract) {
 
 LedgerState LedgerState::content_clone() const {
   LedgerState copy;
-  copy.balances_ = balances_;
-  copy.nonces_ = nonces_;
+  copy.accounts_ = accounts_;
   copy.audit_log_ = audit_log_;
   copy.contracts_ = contracts_;
   copy.burned_fees_ = burned_fees_;
@@ -318,12 +324,10 @@ void LedgerState::apply_undo(const StateUndo& undo) {
     }
   }
   for (const auto& [addr, prior] : undo.balances) {
-    if (prior.has_value()) {
-      set_balance(addr, *prior);
-    } else {
-      balances_.erase(addr);
-      refresh_account_leaf(addr);
-    }
+    Account acc = account(addr);
+    acc.has_balance = prior.has_value();
+    acc.balance = prior.value_or(0);
+    put_account(addr, acc);
   }
   for (const auto& [addr, prior] : undo.nonces) set_nonce(addr, prior);
   // The audit chain hash cannot be un-chained; restore the captured digest
@@ -346,42 +350,59 @@ std::vector<std::string> LedgerState::store_keys_with_prefix(
 }
 
 StateCommitment LedgerState::commitment_with(const CommitmentDelta& delta) const {
-  StateCommitment c;
+  return compute_commitment(delta, nullptr);
+}
 
-  // Accounts: cached Merkle tree plus the delta's touched leaves.
-  if (delta.balances.empty() && delta.nonces.empty()) {
-    c.accounts_root = accounts_.root();
-    c.account_count = accounts_.size();
-  } else {
-    crypto::MerkleMap::Delta acc;
-    merge_maps(delta.balances, delta.nonces,
-               [&](crypto::Address addr, const std::uint64_t* dbal,
-                   const std::uint64_t* dnon) {
-                 bool has_bal = true;
-                 std::uint64_t bal = 0;
-                 if (dbal != nullptr) {
-                   bal = *dbal;
-                 } else {
-                   const auto base_bal = find_balance(addr);
-                   has_bal = base_bal.has_value();
-                   bal = base_bal.value_or(0);
-                 }
-                 const std::uint64_t n = dnon != nullptr ? *dnon : nonce(addr);
-                 if (has_bal || n != 0) {
-                   acc[addr.value] = account_leaf_digest(has_bal, bal, n);
-                 } else {
-                   acc[addr.value] = std::nullopt;
-                 }
-               });
-    c.accounts_root = accounts_.root_with(acc);
-    c.account_count = accounts_.size_with(acc);
-  }
+StateCommitment LedgerState::compute_commitment(const CommitmentDelta& delta,
+                                                StagedCommit* stage) const {
+  StateCommitment c;
+  StateUndo* undo =
+      stage != nullptr && stage->undo.has_value() ? &*stage->undo : nullptr;
+
+  // Accounts: one table read per touched address yields the prior record
+  // (the undo's values) and, with the delta on top, the new leaf.
+  crypto::MerkleMap::Delta acc;
+  merge_maps(delta.balances, delta.nonces,
+             [&](crypto::Address addr, const std::uint64_t* dbal,
+                 const std::uint64_t* dnon) {
+               const Account prior = account(addr);
+               Account now = prior;
+               if (dbal != nullptr) {
+                 now.has_balance = true;
+                 now.balance = *dbal;
+               }
+               if (dnon != nullptr) now.nonce = *dnon;
+               acc.emplace_hint(acc.end(), addr.value,
+                                now.exists() ? std::optional(leaf_of(now))
+                                             : std::nullopt);
+               if (stage != nullptr) stage->accounts.emplace_back(addr, now);
+               if (undo == nullptr) return;
+               if (dbal != nullptr) {
+                 undo->balances.emplace_hint(
+                     undo->balances.end(), addr,
+                     prior.has_balance ? std::optional(prior.balance)
+                                       : std::nullopt);
+               }
+               if (dnon != nullptr) {
+                 undo->nonces.emplace_hint(undo->nonces.end(), addr, prior.nonce);
+               }
+             });
+  crypto::MerkleMap::Prepared unstaged;
+  crypto::MerkleMap::Prepared& tree =
+      stage != nullptr ? stage->account_tree : unstaged;
+  c.accounts_root = account_tree_.root_with(acc, &tree);
+  c.account_count = tree.size;
 
   // Audit log: extend the running chain hash with the appended records.
   crypto::Digest h = audit_digest_;
   for (const StoredAuditRecord* rec : delta.audit) h = chain_audit(h, *rec);
   c.audit_digest = h;
   c.audit_count = audit_log_.size() + delta.audit.size();
+  if (undo != nullptr) {
+    undo->audit_count = audit_log_.size();
+    undo->audit_digest = audit_digest_;
+    undo->burned_delta = delta.burned;
+  }
 
   // Contract stores: adjust the touched contracts' multiset digests, then
   // combine all per-contract digests in name order. A delta consisting
@@ -391,8 +412,22 @@ StateCommitment LedgerState::commitment_with(const CommitmentDelta& delta) const
   for (const auto& [contract, kv] : delta.stores) {
     const auto base_it = store_digests_.find(contract);
     StoreDigest sd = base_it != store_digests_.end() ? base_it->second : StoreDigest{};
+    const ContractStore* base_store = find_store(contract);
+    StateUndo::StoreUndo* su = nullptr;
+    if (undo != nullptr) {
+      su = &undo->stores[contract];
+      su->existed = base_store != nullptr;
+    }
     for (const auto& [key, pval] : kv) {
-      const Bytes* old = store_get(contract, key);
+      const Bytes* old = nullptr;
+      if (base_store != nullptr) {
+        const auto it = base_store->find(key);
+        if (it != base_store->end()) old = &it->second;
+      }
+      if (su != nullptr) {
+        su->entries.emplace(key, old != nullptr ? std::optional<Bytes>(*old)
+                                                : std::nullopt);
+      }
       if (old != nullptr) {
         sd.sum.remove(store_entry_hash(key, *old));
         --sd.count;
@@ -420,30 +455,75 @@ StateCommitment LedgerState::commitment_with(const CommitmentDelta& delta) const
                stores_w.raw(sd.sum.bytes());
              });
   c.stores_digest = stores_w.digest();
+  if (stage != nullptr) stage->store_digests = std::move(adjusted);
 
   c.burned_fees = burned_fees_ + delta.burned;
   c.root = combine_commitment_root(c);
   return c;
 }
 
+StagedCommit LedgerState::stage(LedgerStateOverlay&& block,
+                                bool with_undo) const {
+  assert(block.base_ == this);
+  // The overlay is consumed: its account maps move into the delta and its
+  // audit records and store writes into the stage, uncopied.
+  CommitmentDelta delta;
+  delta.balances = std::move(block.balances_);
+  delta.nonces = std::move(block.nonces_);
+  delta.audit.reserve(block.audit_appended_.size());
+  for (const auto& rec : block.audit_appended_) delta.audit.push_back(&rec);
+  for (const auto& [contract, kv] : block.stores_) {
+    auto& dst = delta.stores[contract];
+    for (const auto& [key, value] : kv) dst.emplace_hint(dst.end(), key, &value);
+  }
+  delta.burned = block.burned_delta_;
+  StagedCommit staged;
+  if (with_undo) staged.undo.emplace();
+  staged.accounts.reserve(delta.balances.size() + delta.nonces.size());
+  staged.commitment = compute_commitment(delta, &staged);
+  staged.audit = std::move(block.audit_appended_);
+  staged.stores = std::move(block.stores_);
+  return staged;
+}
+
+void LedgerState::install(StagedCommit&& staged) {
+  for (const auto& [addr, acc] : staged.accounts) {
+    if (acc.exists()) {
+      accounts_.insert_or_assign(addr, acc);
+    } else {
+      accounts_.erase(addr);
+    }
+  }
+  account_tree_.apply(staged.account_tree);
+  for (auto& rec : staged.audit) audit_log_.push_back(std::move(rec));
+  audit_digest_ = staged.commitment.audit_digest;
+  for (auto& [contract, kv] : staged.stores) {
+    // Tombstone-only writes still create the store, as store_erase does.
+    ContractStore& store = contracts_[contract];
+    for (auto& [key, value] : kv) {
+      if (value.has_value()) {
+        store.insert_or_assign(key, std::move(*value));
+      } else {
+        store.erase(key);
+      }
+    }
+  }
+  for (const auto& [contract, sd] : staged.store_digests) {
+    store_digests_[contract] = sd;
+  }
+  burned_fees_ = staged.commitment.burned_fees;
+}
+
 StateCommitment LedgerState::full_rehash_commitment() const {
   StateCommitment c;
 
   // Accounts: independent structural recursion over an explicit leaf list
-  // (no cached tree involved).
+  // (no cached tree involved). The table is unordered; the oracle sorts.
   std::vector<std::pair<std::uint64_t, crypto::Digest>> leaves;
-  leaves.reserve(balances_.size() + nonces_.size());
-  merge_maps(balances_, nonces_,
-             [&leaves](crypto::Address addr, const std::uint64_t* bal,
-                       const std::uint64_t* n) {
-               const bool has_bal = bal != nullptr;
-               const std::uint64_t nonce_value = n != nullptr ? *n : 0;
-               if (has_bal || nonce_value != 0) {
-                 leaves.emplace_back(
-                     addr.value,
-                     account_leaf_digest(has_bal, has_bal ? *bal : 0, nonce_value));
-               }
-             });
+  leaves.reserve(accounts_.size());
+  for (const auto& [addr, acc] : accounts_) {
+    if (acc.exists()) leaves.emplace_back(addr.value, leaf_of(acc));
+  }
   c.account_count = leaves.size();
   c.accounts_root = crypto::merkle_map_reference_root(std::move(leaves));
 
@@ -593,40 +673,6 @@ void LedgerStateOverlay::commit() {
   audit_appended_.clear();
   stores_.clear();
   burned_delta_ = 0;
-}
-
-StateUndo LedgerStateOverlay::capture_undo(const LedgerState& base) const {
-  StateUndo undo;
-  for (const auto& [addr, value] : balances_) {
-    (void)value;
-    undo.balances.emplace(addr, base.find_balance(addr));
-  }
-  for (const auto& [addr, value] : nonces_) {
-    (void)value;
-    undo.nonces.emplace(addr, base.nonce(addr));
-  }
-  for (const auto& [contract, delta] : stores_) {
-    StateUndo::StoreUndo su;
-    su.existed = base.find_store(contract) != nullptr;
-    for (const auto& [key, value] : delta) {
-      (void)value;
-      const Bytes* prior = base.store_get(contract, key);
-      su.entries.emplace(key, prior != nullptr ? std::optional<Bytes>(*prior)
-                                               : std::nullopt);
-    }
-    undo.stores.emplace(contract, std::move(su));
-  }
-  undo.audit_count = base.audit_log().size();
-  undo.audit_digest = base.audit_digest();
-  undo.burned_delta = burned_delta_;
-  return undo;
-}
-
-LedgerStateOverlay LedgerStateOverlay::rebase(LedgerView* base) && {
-  LedgerStateOverlay out = std::move(*this);
-  out.base_ = base;
-  out.writable_ = base;
-  return out;
 }
 
 std::size_t LedgerStateOverlay::touched() const {

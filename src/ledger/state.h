@@ -5,10 +5,11 @@
 //  - LedgerState is the committed, materialized state (a plain value type);
 //  - LedgerStateOverlay is a copy-on-write delta over a base view, built via
 //    the named factories reader()/writer()/nested(). Block assembly and
-//    validation trial-apply transactions on an overlay and commit (or
-//    discard) only the touched accounts/keys, so the per-block cost is
-//    proportional to the block, not to the world. Contract-call atomicity
-//    uses a nested overlay the same way.
+//    validation trial-apply transactions on an overlay; a block's overlay is
+//    staged once (LedgerState::stage) and its stage installed on commit
+//    (LedgerState::install), so the per-block cost is proportional to the
+//    block, not to the world. Contract-call atomicity uses a nested overlay
+//    that commits into its parent.
 //
 // State commitment is incremental (DESIGN.md §"State commitment"): the
 // account map is Merkleized (crypto::MerkleMap), the audit log carries a
@@ -18,10 +19,14 @@
 // scratch as a differential-testing oracle.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/clock.h"
@@ -74,8 +79,33 @@ struct StateCommitment {
                                                  std::uint64_t balance,
                                                  std::uint64_t nonce);
 
-/// Inverse of one committed block's delta, captured *before* the commit
-/// (LedgerStateOverlay::capture_undo). Blockchain keeps a bounded ring of
+/// One account's committed content: the balance entry (absent until the
+/// account is first credited; a zero entry still counts) and the nonce.
+struct Account {
+  bool has_balance = false;
+  std::uint64_t balance = 0;
+  std::uint64_t nonce = 0;
+
+  /// Whether the account has a leaf in the commitment. Only such records are
+  /// stored: a zero nonce without a balance entry is the same as no record.
+  [[nodiscard]] bool exists() const { return has_balance || nonce != 0; }
+  [[nodiscard]] bool operator==(const Account&) const = default;
+};
+
+/// Hash of an address for the account table. Addresses are digest prefixes
+/// (crypto::address_of), so the value itself spreads well.
+struct AddressHash {
+  [[nodiscard]] std::size_t operator()(crypto::Address a) const {
+    return std::hash<std::uint64_t>{}(a.value);
+  }
+};
+
+/// The account table. Unordered: whatever must be canonical (snapshot
+/// export, commitments) sorts for itself.
+using AccountTable = std::unordered_map<crypto::Address, Account, AddressHash>;
+
+/// Inverse of one committed block's delta, recorded from the pre-block state
+/// when the block is staged (LedgerState::stage). Blockchain keeps a bounded ring of
 /// these so recent historical states can be reconstructed for snapshot
 /// export and stale-height account proofs — O(touched) to capture, O(sum of
 /// touched) to roll back, instead of a full per-height state copy.
@@ -108,6 +138,31 @@ struct CommitmentDelta {
   std::map<std::string, std::map<std::string, const std::optional<Bytes>*>> stores;
   std::uint64_t burned = 0;
 };
+
+/// Incrementally maintained digest of one contract store.
+struct StoreDigest {
+  crypto::SetHash sum;       ///< multiset hash over (key, value) entries
+  std::uint64_t count = 0;   ///< live entries
+};
+
+/// A block's post-state, computed once against the state the block executed
+/// on (LedgerState::stage) and written by LedgerState::install without being
+/// computed again. Every field is absolute rather than relative to that
+/// state, so a stage installs onto it or onto any copy with equal content.
+struct StagedCommit {
+  StateCommitment commitment;
+  /// Final record of every account the block wrote, ascending by address; a
+  /// record that does not exist() is removed.
+  std::vector<std::pair<crypto::Address, Account>> accounts;
+  crypto::MerkleMap::Prepared account_tree;  ///< root_with()'s work, for apply()
+  std::vector<StoredAuditRecord> audit;      ///< appended records, oldest first
+  /// contract -> key -> new value (nullopt = erase)
+  std::map<std::string, std::map<std::string, std::optional<Bytes>>> stores;
+  std::map<std::string, StoreDigest> store_digests;  ///< of the stores touched
+  std::optional<StateUndo> undo;  ///< inverse delta, when staged with one
+};
+
+class LedgerStateOverlay;
 
 /// Mutation/read interface shared by the committed state and overlays.
 /// Transactions and contracts touch the ledger only through these
@@ -179,33 +234,25 @@ class LedgerView {
                              bool signature_preverified = false);
 };
 
-/// One account's full content, used to bulk-load the account section on
-/// snapshot install (LedgerState::load_accounts).
-struct AccountSeed {
-  crypto::Address addr;
-  std::optional<std::uint64_t> balance;  ///< engaged = balance entry exists
-  std::uint64_t nonce = 0;
-};
-
 class LedgerState final : public LedgerView {
  public:
   // ---- accounts ----
   [[nodiscard]] std::optional<std::uint64_t> find_balance(
       crypto::Address a) const override;
   [[nodiscard]] std::uint64_t nonce(crypto::Address a) const override;
+  /// The whole record in one lookup (all-default when there is none).
+  [[nodiscard]] Account account(crypto::Address a) const;
   void set_balance(crypto::Address a, std::uint64_t value) override;
   void set_nonce(crypto::Address a, std::uint64_t value) override;
 
   /// Snapshot-install fast path: replace the whole account section from
-  /// entries in strictly ascending address order. The balance/nonce maps are
-  /// range-constructed (O(n) on sorted input) and the accounts Merkle tree
+  /// entries in strictly ascending address order. The accounts Merkle tree
   /// is bulk-built from sorted leaves (MerkleMap::from_sorted_leaves) —
   /// one leaf hash per account, no per-key descents — instead of n
-  /// set_balance/set_nonce round trips through refresh_account_leaf. Every
-  /// entry must carry a leaf (a balance entry or nonzero nonce); order and
-  /// leaf presence are the caller's contract (the strict snapshot decoder
+  /// set_balance/set_nonce round trips through the tree. Every entry must
+  /// exist() and order is the caller's contract (the strict snapshot decoder
   /// enforces both before calling).
-  void load_accounts(const std::vector<AccountSeed>& sorted);
+  void load_accounts(const std::vector<std::pair<crypto::Address, Account>>& sorted);
 
   // ---- audit log (§II-D) ----
   [[nodiscard]] const std::vector<StoredAuditRecord>& audit_log() const {
@@ -238,17 +285,25 @@ class LedgerState final : public LedgerView {
     return full_rehash_commitment().root;
   }
 
+  /// Compute the post-state of `block` — an overlay built as a reader or
+  /// writer directly over this state, which it consumes — once, in a form
+  /// install() writes without recomputing. `with_undo` also records the
+  /// block's inverse delta. Costs what commitment() on the overlay costs.
+  [[nodiscard]] StagedCommit stage(LedgerStateOverlay&& block,
+                                   bool with_undo) const;
+  /// Write a staged block: one table write per account, the accounts tree
+  /// updated from the stage's recorded digests (MerkleMap::apply), and the
+  /// audit, store and fee sections taken from the stage as they are. This
+  /// state must have the content of the state stage() ran on (that object or
+  /// an equal copy); afterwards commitment() equals staged.commitment.
+  /// install() does not read the stage's undo.
+  void install(StagedCommit&& staged);
+
   [[nodiscard]] std::uint64_t burned_fees() const override { return burned_fees_; }
   void add_burned_fees(std::uint64_t amount) override { burned_fees_ += amount; }
-  [[nodiscard]] std::size_t account_count() const { return balances_.size(); }
 
-  // ---- raw section access (snapshot export / undo capture) ----
-  [[nodiscard]] const std::map<crypto::Address, std::uint64_t>& balances() const {
-    return balances_;
-  }
-  [[nodiscard]] const std::map<crypto::Address, std::uint64_t>& nonces() const {
-    return nonces_;
-  }
+  // ---- raw section access (snapshot export, shard partition, audits) ----
+  [[nodiscard]] const AccountTable& accounts() const { return accounts_; }
   [[nodiscard]] const std::map<std::string, ContractStore>& stores() const {
     return contracts_;
   }
@@ -261,7 +316,7 @@ class LedgerState final : public LedgerView {
   void apply_undo(const StateUndo& undo);
 
   /// Snapshot-export fast path: a copy carrying the raw content sections
-  /// (balances, nonces, audit log, stores, burned fees, cached section
+  /// (accounts, audit log, stores, burned fees, cached section
   /// digests) but an EMPTY accounts Merkle tree — cloning the tree is the
   /// dominant cost of a full copy, and the exporter takes the manifest
   /// commitment from the chain's retention ring instead. apply_undo works on
@@ -274,28 +329,25 @@ class LedgerState final : public LedgerView {
   /// non-membership proof when the account has no leaf). Pair with
   /// commitment() for the section digests a verifier recombines.
   [[nodiscard]] crypto::MerkleMapProof prove_account(crypto::Address a) const {
-    return accounts_.prove(a.value);
+    return account_tree_.prove(a.value);
   }
 
  private:
-  /// Re-derive the Merkle leaf for `a` from balances_/nonces_ (absent when
-  /// the account has neither a balance entry nor a nonzero nonce).
-  void refresh_account_leaf(crypto::Address a);
+  /// Store `acc` as `a`'s record and refresh its Merkle leaf (both removed
+  /// when the record does not exist()).
+  void put_account(crypto::Address a, const Account& acc);
+  /// commitment_with(), additionally filling `stage` (when given) with what
+  /// install() needs.
+  [[nodiscard]] StateCommitment compute_commitment(const CommitmentDelta& delta,
+                                                   StagedCommit* stage) const;
 
-  /// Incrementally maintained digest of one contract store.
-  struct StoreDigest {
-    crypto::SetHash sum;       ///< multiset hash over (key, value) entries
-    std::uint64_t count = 0;   ///< live entries
-  };
-
-  std::map<crypto::Address, std::uint64_t> balances_;
-  std::map<crypto::Address, std::uint64_t> nonces_;
+  AccountTable accounts_;
   std::vector<StoredAuditRecord> audit_log_;
   std::map<std::string, ContractStore> contracts_;
   std::uint64_t burned_fees_ = 0;
 
   // Maintained commitment sections (see DESIGN.md §"State commitment").
-  crypto::MerkleMap accounts_;                      ///< addr -> account leaf
+  crypto::MerkleMap account_tree_;                  ///< addr -> account leaf
   crypto::Digest audit_digest_{};                   ///< running chain hash
   std::map<std::string, StoreDigest> store_digests_;  ///< mirrors contracts_
 };
@@ -351,26 +403,17 @@ class LedgerStateOverlay final : public LedgerView {
   [[nodiscard]] StateCommitment commitment_with(
       const CommitmentDelta& delta) const override;
 
-  /// Fold the delta into the (writable) base. O(touched entries).
+  /// Fold the delta into the (writable) base. O(touched entries). Blocks
+  /// commit through LedgerState::stage()/install() instead; this serves
+  /// nested overlays and other writers.
   void commit();
-
-  /// Capture the inverse of this overlay's delta against `base`, which must
-  /// be the materialized state this overlay was constructed over. Call
-  /// *before* commit(); applying the result to the post-commit state
-  /// restores `base` exactly (LedgerState::apply_undo). O(touched).
-  [[nodiscard]] StateUndo capture_undo(const LedgerState& base) const;
-
-  /// Hand this overlay's delta to a writer over `base`, which must hold the
-  /// state the delta was computed on (that object or an equal copy). nullptr
-  /// detaches the delta from any base instead: the result then supports only
-  /// rebase() and touched(), so it may outlive the state it was built on.
-  /// The moved-from overlay must not be used again.
-  [[nodiscard]] LedgerStateOverlay rebase(LedgerView* base) &&;
 
   /// Number of accounts/keys recorded in the delta (diagnostics).
   [[nodiscard]] std::size_t touched() const;
 
  private:
+  friend class LedgerState;  // stage() consumes the delta
+
   LedgerStateOverlay(const LedgerView* base, LedgerView* writable)
       : base_(base), writable_(writable) {}
 

@@ -35,7 +35,7 @@ void check_conservation(const ledger::LedgerState& state,
                         const InvariantOptions& opts,
                         std::vector<std::string>& out) {
   std::uint64_t circulating = 0;
-  for (const auto& [addr, balance] : state.balances()) circulating += balance;
+  for (const auto& [addr, acc] : state.accounts()) circulating += acc.balance;
   const std::uint64_t total = circulating + state.burned_fees();
   if (total != opts.total_supply) {
     out.push_back("conservation: balances(" + std::to_string(circulating) +
@@ -194,7 +194,7 @@ std::vector<std::string> check_sharded_invariants(
     for (std::string& v : check_invariants(state, per_shard)) {
       out.push_back("shard " + std::to_string(s) + ": " + std::move(v));
     }
-    for (const auto& [addr, balance] : state.balances()) circulating += balance;
+    for (const auto& [addr, acc] : state.accounts()) circulating += acc.balance;
     burned += state.burned_fees();
 
     const auto* store = state.find_store(ledger::kXShardContractName);

@@ -410,6 +410,193 @@ TEST(MerkleMap, RootWithMatchesMaterializedApplication) {
   }
 }
 
+// ------------------------------------------------------- MerkleMapPrepared
+
+namespace {
+/// Keys in a few tight clusters (long shared prefixes: leaf splits deep in
+/// the trie, and count-1 chains once neighbours are erased) plus random
+/// 64-bit keys (shallow spread).
+std::uint64_t clustered_key(Rng& rng) {
+  constexpr std::uint64_t kClusters[] = {0x0ULL, 0xABCD'EF00'0000'0000ULL,
+                                         0xABCD'EF01'2300'0000ULL,
+                                         0x7000'0000'0000'0000ULL};
+  if (rng.chance(0.3)) return rng.next_u64();
+  return kClusters[rng.next_below(4)] | rng.next_below(64);
+}
+
+/// A random delta against `model`: updates and erases of present keys,
+/// inserts of new keys (many next to present ones, so leaves split), and
+/// tombstones of absent keys. Applies it to `model`.
+MerkleMap::Delta random_delta(Rng& rng, std::map<std::uint64_t, Digest>& model,
+                              int ops) {
+  MerkleMap::Delta delta;
+  for (int op = 0; op < ops; ++op) {
+    std::uint64_t key = clustered_key(rng);
+    if (!model.empty() && rng.chance(0.5)) {
+      key = std::next(model.begin(),
+                      static_cast<std::ptrdiff_t>(rng.next_below(model.size())))
+                ->first;
+      if (rng.chance(0.3)) key ^= 1 + rng.next_below(3);  // a near neighbour
+    }
+    if (rng.chance(0.4)) {
+      delta[key] = std::nullopt;
+      model.erase(key);
+    } else {
+      const Digest v = value_digest(rng.next_u64());
+      delta[key] = v;
+      model[key] = v;
+    }
+  }
+  return delta;
+}
+
+/// Every key of `model` proves membership against `m`'s root, and a few
+/// absent keys prove non-membership.
+void expect_proofs_verify(const MerkleMap& m,
+                          const std::map<std::uint64_t, Digest>& model,
+                          const MerkleMap::Delta& delta, Rng& rng) {
+  const Digest root = m.root();
+  for (const auto& [key, value] : model) {
+    ASSERT_TRUE(MerkleMap::verify(root, key, value, m.prove(key))) << key;
+  }
+  for (const auto& [key, value] : delta) {
+    if (!model.contains(key)) {
+      ASSERT_TRUE(MerkleMap::verify(root, key, std::nullopt, m.prove(key))) << key;
+    }
+  }
+  for (int i = 0; i < 8; ++i) {
+    const std::uint64_t key = clustered_key(rng);
+    if (model.contains(key)) continue;
+    ASSERT_TRUE(MerkleMap::verify(root, key, std::nullopt, m.prove(key))) << key;
+  }
+}
+}  // namespace
+
+TEST(MerkleMapPrepared, ApplyMatchesOracleAndPlainMutation) {
+  // Across chained rounds of randomized deltas, installing what root_with()
+  // prepared must give the same map as plain put()/erase() followed by
+  // root(): same root (equal to the structural oracle), same size, and
+  // proofs that verify against it.
+  Rng rng(1515);
+  MerkleMap m;
+  std::map<std::uint64_t, Digest> model;
+  for (int round = 0; round < 60; ++round) {
+    const MerkleMap::Delta delta = random_delta(rng, model, 1 + round % 40);
+    MerkleMap::Prepared p;
+    const Digest before = m.root();
+    const Digest with = m.root_with(delta, &p);
+    ASSERT_EQ(m.root(), before) << "root_with must not mutate, round " << round;
+    ASSERT_EQ(with, reference_of(model)) << "round " << round;
+    ASSERT_EQ(p.root, with);
+    ASSERT_EQ(p.base_root, before);
+    ASSERT_EQ(p.size, model.size());
+
+    MerkleMap plain = m;
+    for (const auto& [key, value] : delta) {
+      if (value.has_value()) {
+        plain.put(key, *value);
+      } else {
+        plain.erase(key);
+      }
+    }
+    m.apply(p);
+    ASSERT_EQ(m.root(), reference_of(model)) << "round " << round;
+    ASSERT_EQ(m.root(), plain.root()) << "round " << round;
+    ASSERT_EQ(m.size(), model.size());
+    ASSERT_NO_FATAL_FAILURE(expect_proofs_verify(m, model, delta, rng));
+  }
+  // Draining every key leaves the empty commitment.
+  MerkleMap::Delta drain;
+  for (const auto& [key, value] : model) drain[key] = std::nullopt;
+  MerkleMap::Prepared p;
+  ASSERT_EQ(m.root_with(drain, &p), Digest{});
+  m.apply(p);
+  EXPECT_EQ(m.root(), Digest{});
+  EXPECT_EQ(m.size(), 0u);
+}
+
+TEST(MerkleMapPrepared, ApplyOntoEqualContentWithDifferentHistory) {
+  // The recorded digests are keyed by (depth, prefix) and commit to content
+  // only, so they must install onto any map with equal content: here one
+  // built in reverse order through extra keys that were erased again, which
+  // leaves count-1 inner chains where the other map holds plain leaves.
+  Rng rng(2727);
+  for (int trial = 0; trial < 25; ++trial) {
+    std::map<std::uint64_t, Digest> model;
+    const int n = 1 + static_cast<int>(rng.next_below(300));
+    for (int i = 0; i < n; ++i) model[clustered_key(rng)] = value_digest(rng.next_u64());
+    MerkleMap forward;
+    for (const auto& [key, value] : model) forward.put(key, value);
+    MerkleMap reverse;
+    std::vector<std::uint64_t> extra;
+    for (auto it = model.rbegin(); it != model.rend(); ++it) {
+      reverse.put(it->first, it->second);
+      const std::uint64_t near = it->first ^ (1 + rng.next_below(7));
+      if (!model.contains(near)) {
+        reverse.put(near, value_digest(near));
+        extra.push_back(near);
+      }
+    }
+    for (const std::uint64_t key : extra) reverse.erase(key);
+    ASSERT_EQ(reverse.root(), forward.root()) << "trial " << trial;
+
+    auto expected = model;
+    const MerkleMap::Delta delta =
+        random_delta(rng, expected, 1 + static_cast<int>(rng.next_below(60)));
+    MerkleMap::Prepared p;
+    (void)forward.root_with(delta, &p);
+    reverse.apply(p);
+    forward.apply(p);
+    ASSERT_EQ(reverse.root(), reference_of(expected)) << "trial " << trial;
+    ASSERT_EQ(forward.root(), reverse.root()) << "trial " << trial;
+    ASSERT_EQ(reverse.size(), expected.size());
+    ASSERT_NO_FATAL_FAILURE(expect_proofs_verify(reverse, expected, delta, rng));
+  }
+}
+
+TEST(MerkleMapPrepared, ApplyOntoDifferentContentTakesTheGuardPath) {
+  // A map whose root differs from the prepared base must not take any
+  // recorded digest on trust: the delta still applies and the root is the
+  // correct one for *that* map's content plus the delta.
+  Rng rng(3939);
+  for (int trial = 0; trial < 25; ++trial) {
+    std::map<std::uint64_t, Digest> base_model;
+    const int n = 2 + static_cast<int>(rng.next_below(200));
+    for (int i = 0; i < n; ++i) {
+      base_model[clustered_key(rng)] = value_digest(rng.next_u64());
+    }
+    MerkleMap base;
+    for (const auto& [key, value] : base_model) base.put(key, value);
+
+    // The other map differs by a changed value, a missing key and an extra
+    // key, all inside the clusters the delta touches.
+    auto other_model = base_model;
+    other_model.begin()->second = value_digest(rng.next_u64());
+    other_model.erase(std::prev(other_model.end()));
+    other_model[clustered_key(rng)] = value_digest(rng.next_u64());
+    MerkleMap other;
+    for (const auto& [key, value] : other_model) other.put(key, value);
+    ASSERT_NE(other.root(), base.root());
+
+    auto scratch = base_model;
+    const MerkleMap::Delta delta =
+        random_delta(rng, scratch, 1 + static_cast<int>(rng.next_below(60)));
+    MerkleMap::Prepared p;
+    (void)base.root_with(delta, &p);
+    other.apply(p);
+    for (const auto& [key, value] : delta) {
+      if (value.has_value()) {
+        other_model[key] = *value;
+      } else {
+        other_model.erase(key);
+      }
+    }
+    ASSERT_EQ(other.root(), reference_of(other_model)) << "trial " << trial;
+    ASSERT_EQ(other.size(), other_model.size());
+    ASSERT_NO_FATAL_FAILURE(expect_proofs_verify(other, other_model, delta, rng));
+  }
+}
+
 // --------------------------------------------------------- MerkleMapProof
 
 namespace {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "chain_checks.h"
 #include "ledger/audit.h"
 #include "ledger/chain.h"
 #include "ledger/consensus.h"
@@ -1634,7 +1635,7 @@ TEST(ExecutionMemo, FirstBlockOfSharedGenesisChain) {
   Blockchain chain(f.config, f.contracts, genesis);
   Blockchain replica(f.config, f.contracts, genesis);
   const Block block = chain.assemble(f.v0, alice_transfers(f), 0, f.rng);
-  // The memo was computed over the shared genesis; append rebases it onto
+  // The block was staged over the shared genesis; append installs it onto
   // the chain's own materialized copy and leaves the shared state alone.
   ASSERT_TRUE(chain.append(block).ok());
   ASSERT_TRUE(replica.append(block).ok());
@@ -1681,6 +1682,69 @@ TEST(ExecutionMemo, InitFromSnapshotClearsTheSlot) {
   EXPECT_EQ(replica.validation_stats().memo_hits, 0u);
   EXPECT_EQ(replica.validation_stats().applies, 2u);  // assemble + full append
   EXPECT_EQ(replica.state().commitment(), source.state().commitment());
+}
+
+TEST(ExecutionMemo, InstalledCommitEqualsRecomputedOnEveryPath) {
+  // Three replicas over one shared genesis: the proposer (assemble, then
+  // append from the memo), a voter (validate, then append from the memo) and
+  // a replica that executes each block in full inside append. Blocks move
+  // funds both ways, bump nonces and touch a fresh account each round.
+  ChainFixture f;
+  const auto genesis = std::make_shared<const LedgerState>(f.state);
+  (void)genesis->commitment();
+  Blockchain proposer(f.config, f.contracts, genesis);
+  Blockchain voter(f.config, f.contracts, genesis);
+  Blockchain replica(f.config, f.contracts, genesis);
+  std::uint64_t alice_nonce = 0;
+  std::uint64_t bob_nonce = 0;
+  for (std::int64_t h = 0; h < 14; ++h) {
+    const crypto::Address fresh{0x5000 + static_cast<std::uint64_t>(h)};
+    std::vector<Transaction> txs;
+    txs.push_back(make_transfer(f.alice, alice_nonce++, f.bob.address(), 3, 1, f.rng));
+    txs.push_back(make_transfer(f.bob, bob_nonce++, f.alice.address(), 2, 1, f.rng));
+    txs.push_back(make_transfer(f.alice, alice_nonce++, fresh, 1, 0, f.rng));
+    const crypto::Wallet& who = h % 2 == 0 ? f.v0 : f.v1;
+    const Block block = proposer.assemble(who, txs, h, f.rng);
+    ASSERT_EQ(block.txs.size(), 3u);
+    ASSERT_TRUE(voter.validate(block).ok());
+    for (Blockchain* chain : {&proposer, &voter, &replica}) {
+      ASSERT_TRUE(chain->append(block).ok()) << "height " << h;
+      ASSERT_NO_FATAL_FAILURE(expect_installed_equals_recomputed(*chain, fresh))
+          << "height " << h;
+    }
+  }
+  EXPECT_EQ(proposer.validation_stats().memo_hits, 14u);
+  EXPECT_EQ(voter.validation_stats().memo_hits, 14u);
+  EXPECT_EQ(replica.validation_stats().memo_hits, 0u);
+  EXPECT_EQ(replica.state().commitment(), proposer.state().commitment());
+}
+
+TEST(ExecutionMemo, HookSetAfterStagingStillReceivesTheUndo) {
+  // With no retention and no hook nobody needs the inverse delta, so the
+  // block is staged without it. A hook set before append then needs one: the
+  // memo must miss and re-execute rather than hand the hook an empty undo.
+  ChainFixture f;
+  f.config.state_retention = 0;
+  Blockchain chain = f.make_chain();
+  const Block block = chain.assemble(f.v0, alice_transfers(f), 0, f.rng);
+  StateUndo seen;
+  chain.set_commit_hook([&seen](const Block&, const StateUndo& undo) { seen = undo; });
+  ASSERT_TRUE(chain.append(block).ok());
+  EXPECT_EQ(chain.validation_stats().memo_hits, 0u);
+  EXPECT_EQ(chain.validation_stats().applies, 2u);
+  ASSERT_EQ(seen.nonces.size(), 1u);
+  EXPECT_EQ(seen.nonces.at(f.alice.address()), 0u);
+  EXPECT_EQ(seen.balances.at(f.alice.address()), std::optional<std::uint64_t>(1000));
+  EXPECT_EQ(seen.balances.at(f.bob.address()), std::optional<std::uint64_t>(500));
+
+  // Without a hook the next block is staged without an undo and still served
+  // from the memo.
+  chain.set_commit_hook({});
+  const Block next = chain.assemble(
+      f.v1, {make_transfer(f.bob, 0, f.alice.address(), 7, 1, f.rng)}, 1, f.rng);
+  ASSERT_TRUE(chain.append(next).ok());
+  EXPECT_EQ(chain.validation_stats().memo_hits, 1u);
+  EXPECT_EQ(chain.state().commitment(), chain.state().full_rehash_commitment());
 }
 
 TEST(ExecutionMemo, CommitteeRoundExecutesEachReplicasBlockOnce) {

@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "chain_checks.h"
 #include "common/job_queue.h"
 #include "ledger/chain.h"
 #include "ledger/consensus.h"
@@ -175,6 +176,7 @@ struct BlockFixture {
 /// Queue worker counts swept against the serial oracle (0 = inline queue).
 constexpr std::size_t kWorkerCounts[] = {0, 2, 4, 8};
 
+
 TEST(ParallelValidation, DifferentialManyBlocksMatchSerialOracle) {
   BlockFixture f(24);
   Blockchain serial = f.oracle();
@@ -208,14 +210,21 @@ TEST(ParallelValidation, DifferentialManyBlocksMatchSerialOracle) {
           chain.assemble(f.proposer, candidates, static_cast<Tick>(b), pr);
       ASSERT_EQ(pblock.encode(), block.encode()) << "block " << b;
     }
+    const crypto::Address probe = f.wallets[b % f.wallets.size()].address();
     ASSERT_TRUE(serial.append(block).ok()) << "block " << b;
+    ASSERT_NO_FATAL_FAILURE(expect_installed_equals_recomputed(serial, probe))
+        << "block " << b;
     const StateCommitment want = serial.state().commitment();
     for (auto& chain : others) {
       ASSERT_TRUE(chain.append(block).ok()) << "block " << b;
       ASSERT_EQ(chain.state().commitment(), want) << "block " << b;
+      ASSERT_NO_FATAL_FAILURE(expect_installed_equals_recomputed(chain, probe))
+          << "block " << b;
     }
     ASSERT_TRUE(replica.append(block).ok()) << "block " << b;
     ASSERT_EQ(replica.state().commitment(), want) << "block " << b;
+    ASSERT_NO_FATAL_FAILURE(expect_installed_equals_recomputed(replica, probe))
+        << "block " << b;
   }
   EXPECT_GE(total_candidates, 5000u);
 

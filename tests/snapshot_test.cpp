@@ -7,12 +7,14 @@
 #include <algorithm>
 #include <condition_variable>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 
 #include "crypto/digest_lru.h"
 #include "ledger/chain.h"
 #include "ledger/mempool.h"
+#include "ledger/shard.h"
 #include "ledger/snapshot.h"
 #include "ledger/snapshot_sync.h"
 #include "net/snapshot_transfer.h"
@@ -135,6 +137,63 @@ TEST(SnapshotCodec, PayloadRoundTripReproducesCommitment) {
   EXPECT_EQ(decoded.value().audit_log().size(), 2u);
   ASSERT_NE(decoded.value().find_store("drained"), nullptr);
   EXPECT_TRUE(decoded.value().find_store("drained")->empty());
+}
+
+TEST(SnapshotCodec, AccountInsertionOrderIsInvisible) {
+  // The account table is unordered, so everything that must be canonical
+  // sorts for itself. Two states holding the same accounts, written in
+  // opposite orders (and one also through records that were created and
+  // dropped again), must export the same bytes, commit identically, and
+  // partition into identical shards.
+  Rng rng(8080);
+  std::vector<std::pair<crypto::Address, Account>> accounts;
+  std::set<std::uint64_t> used;
+  while (accounts.size() < 3000) {
+    const std::uint64_t addr = 1 + rng.next_below(1ULL << 40);
+    if (!used.insert(addr).second) continue;
+    Account acc;
+    acc.has_balance = rng.chance(0.9);
+    acc.balance = acc.has_balance ? rng.next_below(1'000'000) : 0;
+    acc.nonce = rng.chance(0.5) || !acc.has_balance ? 1 + rng.next_below(50) : 0;
+    accounts.emplace_back(crypto::Address{addr}, acc);
+  }
+  LedgerState forward;
+  for (const auto& [addr, acc] : accounts) {
+    if (acc.has_balance) forward.set_balance(addr, acc.balance);
+    if (acc.nonce != 0) forward.set_nonce(addr, acc.nonce);
+    // A record that exists only through a nonce vanishes when it drops to 0.
+    const crypto::Address transient{addr.value | (1ULL << 50)};
+    forward.set_nonce(transient, 3);
+    forward.set_nonce(transient, 0);
+  }
+  LedgerState backward;
+  for (auto it = accounts.rbegin(); it != accounts.rend(); ++it) {
+    if (it->second.nonce != 0) backward.set_nonce(it->first, it->second.nonce);
+    if (it->second.has_balance) backward.set_balance(it->first, it->second.balance);
+  }
+  ASSERT_EQ(forward.accounts().size(), accounts.size());
+  ASSERT_EQ(backward.accounts().size(), accounts.size());
+
+  EXPECT_EQ(forward.full_rehash_commitment(), backward.full_rehash_commitment());
+  EXPECT_EQ(forward.commitment(), backward.commitment());
+  EXPECT_EQ(forward.commitment(), forward.full_rehash_commitment());
+  const Snapshot a = build_snapshot(forward, 7, 4096);
+  const Snapshot b = build_snapshot(backward, 7, 4096);
+  ASSERT_GT(a.chunks.size(), 1u);
+  EXPECT_EQ(a.chunks, b.chunks);
+  EXPECT_EQ(a.manifest.chunk_digests, b.manifest.chunk_digests);
+  EXPECT_EQ(a.manifest.encode(), b.manifest.encode());
+
+  const auto shards_a = partition_genesis(forward, 4);
+  const auto shards_b = partition_genesis(backward, 4);
+  std::size_t total = 0;
+  for (std::size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(shards_a[s].commitment(), shards_b[s].commitment()) << "shard " << s;
+    EXPECT_EQ(shards_a[s].full_rehash_commitment(), shards_b[s].commitment())
+        << "shard " << s;
+    total += shards_a[s].accounts().size();
+  }
+  EXPECT_EQ(total, accounts.size());
 }
 
 TEST(SnapshotCodec, EmptyStateRoundTrips) {
