@@ -171,6 +171,22 @@ if echo "${shard_out}" | grep -qi 'skipped'; then
   exit 1
 fi
 
+echo "== gate: codec conformance battery (every wire codec) must run =="
+# One battery instantiated for every wire codec (tests/codec_test.cpp): a
+# byte-identical round trip, every strict prefix rejected, one appended byte
+# rejected, and every single-byte mutation rejected or re-encoded to exactly
+# the mutated bytes. It must never be renamed away or skipped.
+codec_out="$(ctest --test-dir build -R 'CodecConformance' --no-tests=error --output-on-failure 2>&1)" || {
+  echo "${codec_out}"
+  echo "FAIL: codec conformance tests did not run or did not pass"
+  exit 1
+}
+if echo "${codec_out}" | grep -qi 'skipped'; then
+  echo "${codec_out}"
+  echo "FAIL: codec conformance tests were skipped"
+  exit 1
+fi
+
 echo "== bench: e2e macro workloads -> BENCH_e2e.json =="
 MV_BENCH_NO_TABLE=1 ./build/bench/bench_e2e \
   --benchmark_out=BENCH_e2e.json \

@@ -4,8 +4,6 @@ namespace mv {
 
 namespace {
 constexpr char kHex[] = "0123456789abcdef";
-
-Error truncated() { return make_error("bytes.truncated", "buffer ended mid-field"); }
 }  // namespace
 
 void ByteWriter::u32(std::uint32_t v) {
@@ -33,61 +31,103 @@ void ByteWriter::bytes(std::span<const std::uint8_t> v) {
   buf_.insert(buf_.end(), v.begin(), v.end());
 }
 
-Result<std::uint8_t> ByteReader::u8() {
-  if (!need(1)) return truncated();
+bool ByteReader::need(std::size_t n) {
+  if (n <= remaining()) return true;
+  fail(truncated_code_, "buffer ended mid-field");
+  return false;
+}
+
+void ByteReader::fail(std::string_view code, std::string_view message) {
+  if (failed_) return;
+  failed_ = true;
+  error_ = Error{std::string(code), std::string(message)};
+  // Nothing after the first error is read: every later read is short.
+  pos_ = data_.size();
+}
+
+std::uint8_t ByteReader::u8() {
+  if (!need(1)) return 0;
   return data_[pos_++];
 }
 
-Result<std::uint32_t> ByteReader::u32() {
-  if (!need(4)) return truncated();
+std::uint32_t ByteReader::u32() {
+  if (!need(4)) return 0;
   std::uint32_t v = 0;
   for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
   return v;
 }
 
-Result<std::uint64_t> ByteReader::u64() {
-  if (!need(8)) return truncated();
+std::uint64_t ByteReader::u64() {
+  if (!need(8)) return 0;
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
   return v;
 }
 
-Result<std::int64_t> ByteReader::i64() {
-  auto v = u64();
-  if (!v.ok()) return v.error();
-  return static_cast<std::int64_t>(v.value());
-}
-
-Result<double> ByteReader::f64() {
-  auto bits = u64();
-  if (!bits.ok()) return bits.error();
+double ByteReader::f64() {
+  const std::uint64_t bits = u64();
   double v = 0;
-  const std::uint64_t b = bits.value();
-  std::memcpy(&v, &b, sizeof(v));
+  std::memcpy(&v, &bits, sizeof(v));
   return v;
 }
 
-Result<std::string> ByteReader::str() {
-  auto len = u32();
-  if (!len.ok()) return len.error();
-  if (!need(len.value())) return truncated();
-  std::string out(reinterpret_cast<const char*>(data_.data() + pos_), len.value());
-  pos_ += len.value();
+std::span<const std::uint8_t> ByteReader::nested() {
+  const std::uint32_t len = u32();
+  if (!need(len)) return {};
+  const auto out = data_.subspan(pos_, len);
+  pos_ += len;
   return out;
 }
 
-Result<Bytes> ByteReader::bytes() {
-  auto len = u32();
-  if (!len.ok()) return len.error();
-  return raw(len.value());
+std::string ByteReader::str() {
+  const auto v = nested();
+  return std::string(reinterpret_cast<const char*>(v.data()), v.size());
 }
 
-Result<Bytes> ByteReader::raw(std::size_t n) {
-  if (!need(n)) return truncated();
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
+Bytes ByteReader::bytes() {
+  const auto v = nested();
+  return Bytes(v.begin(), v.end());
+}
+
+void ByteReader::fixed(std::span<std::uint8_t> out) {
+  if (!need(out.size())) return;
+  std::memcpy(out.data(), data_.data() + pos_, out.size());
+  pos_ += out.size();
+}
+
+std::size_t ByteReader::bounded(std::uint64_t n, std::size_t max,
+                                std::size_t min_elem_bytes,
+                                std::string_view code) {
+  if (n > max || n > remaining() / min_elem_bytes) {
+    fail(code, "element count exceeds its bound or the buffer");
+    return 0;
+  }
+  return static_cast<std::size_t>(n);
+}
+
+std::size_t ByteReader::count(std::size_t max, std::size_t min_elem_bytes,
+                              std::string_view code) {
+  const std::uint32_t n = u32();
+  return ok() ? bounded(n, max, min_elem_bytes, code) : 0;
+}
+
+std::size_t ByteReader::count64(std::size_t max, std::size_t min_elem_bytes,
+                                std::string_view code) {
+  const std::uint64_t n = u64();
+  return ok() ? bounded(n, max, min_elem_bytes, code) : 0;
+}
+
+Status ByteReader::finish(std::string_view code, std::string_view message) {
+  if (failed_) return error_;
+  if (!exhausted()) return Error{std::string(code), std::string(message)};
+  return {};
+}
+
+std::uint64_t leading_u64(const Bytes* bytes, std::uint64_t fallback) {
+  if (bytes == nullptr) return fallback;
+  ByteReader r(*bytes);
+  const std::uint64_t v = r.u64();
+  return r.ok() ? v : fallback;
 }
 
 std::string to_hex(std::span<const std::uint8_t> data) {

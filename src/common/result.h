@@ -81,6 +81,8 @@ inline constexpr const char* kTxBadNonce = "tx.bad_nonce";
 inline constexpr const char* kTxBadRecipient = "tx.bad_recipient";
 inline constexpr const char* kTxUnknownContract = "tx.unknown_contract";
 inline constexpr const char* kTxBadKind = "tx.bad_kind";
+/// A transaction, or its transfer/audit body, has bytes after its last field.
+inline constexpr const char* kTxTrailingBytes = "tx.trailing_bytes";
 /// Raised by LedgerView::debit (transfers, fees, and contract escrow flows).
 inline constexpr const char* kStateInsufficientFunds = "state.insufficient_funds";
 

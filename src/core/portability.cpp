@@ -15,40 +15,25 @@ Bytes GovernancePack::encode() const {
   return w.take();
 }
 
-Result<GovernancePack> GovernancePack::decode(const Bytes& bytes) {
+Result<GovernancePack> GovernancePack::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  auto tag = r.str();
-  if (!tag.ok()) return tag.error();
-  if (tag.value() != "mvgovpack/1") {
-    return make_error("pack.bad_format", "unknown pack format tag");
-  }
+  r.require(r.str() == "mvgovpack/1", "pack.bad_format", "unknown pack format tag");
   GovernancePack pack;
-  auto module_count = r.u32();
-  if (!module_count.ok()) return module_count.error();
-  if (module_count.value() > r.remaining() / 4) {
-    return make_error("pack.bad_count", "module count exceeds payload");
+  pack.governance_modules.resize(r.count(SIZE_MAX, 4, "pack.bad_count"));
+  for (auto& name : pack.governance_modules) name = r.str();
+  const std::size_t binding_count = r.count(SIZE_MAX, 8, "pack.bad_count");
+  for (std::size_t i = 0; i < binding_count && r.ok(); ++i) {
+    std::string region = r.str();
+    std::string regulation = r.str();
+    // Strictly ascending regions, as encode() writes them: a duplicate or
+    // reordered binding would give the same pack a second encoding.
+    r.require(pack.region_regulations.empty() ||
+                  pack.region_regulations.rbegin()->first < region,
+              "pack.bad_order", "region bindings not strictly ascending");
+    pack.region_regulations.emplace_hint(pack.region_regulations.end(),
+                                         std::move(region), std::move(regulation));
   }
-  for (std::uint32_t i = 0; i < module_count.value(); ++i) {
-    auto name = r.str();
-    if (!name.ok()) return name.error();
-    pack.governance_modules.push_back(name.value());
-  }
-  auto binding_count = r.u32();
-  if (!binding_count.ok()) return binding_count.error();
-  if (binding_count.value() > r.remaining() / 8) {
-    return make_error("pack.bad_count", "binding count exceeds payload");
-  }
-  for (std::uint32_t i = 0; i < binding_count.value(); ++i) {
-    auto region = r.str();
-    if (!region.ok()) return region.error();
-    auto regulation = r.str();
-    if (!regulation.ok()) return regulation.error();
-    pack.region_regulations.emplace(region.value(), regulation.value());
-  }
-  if (!r.exhausted()) {
-    return make_error("pack.trailing_bytes", "unparsed trailing data");
-  }
-  return pack;
+  return r.finish(std::move(pack), "pack.trailing_bytes", "unparsed trailing data");
 }
 
 GovernancePack export_governance_pack(Metaverse& metaverse) {

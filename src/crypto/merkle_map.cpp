@@ -555,67 +555,34 @@ Bytes MerkleMapProof::encode() const {
   return w.take();
 }
 
-Result<MerkleMapProof> MerkleMapProof::decode(const Bytes& bytes) {
+Result<MerkleMapProof> MerkleMapProof::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  const auto version = r.u8();
-  if (!version.ok()) return version.error();
-  if (version.value() != 0x01) {
-    return make_error("proof.bad_version", "unknown proof format version");
-  }
-  const auto flags = r.u8();
-  if (!flags.ok()) return flags.error();
-  if ((flags.value() & ~0x01u) != 0) {
-    return make_error("proof.bad_flags", "reserved flag bits set");
-  }
-  const auto step_count = r.u8();
-  if (!step_count.ok()) return step_count.error();
-  if (step_count.value() > 16) {
-    return make_error("proof.bad_depth", "more steps than key nibbles");
-  }
+  r.require(r.u8() == 0x01, "proof.bad_version", "unknown proof format version");
+  const std::uint8_t flags = r.u8();
+  r.require((flags & ~0x01u) == 0, "proof.bad_flags", "reserved flag bits set");
+  const std::uint8_t step_count = r.u8();
+  r.require(step_count <= 16, "proof.bad_depth", "more steps than key nibbles");
   MerkleMapProof proof;
-  proof.steps.reserve(step_count.value());
-  for (unsigned i = 0; i < step_count.value(); ++i) {
-    MerkleMapProofStep step;
-    const auto lo = r.u8();
-    if (!lo.ok()) return lo.error();
-    const auto hi = r.u8();
-    if (!hi.ok()) return hi.error();
-    step.bitmap = static_cast<std::uint16_t>(lo.value() |
-                                             (unsigned{hi.value()} << 8));
-    const auto sibling_count = r.u8();
-    if (!sibling_count.ok()) return sibling_count.error();
+  proof.steps.resize(r.ok() ? step_count : 0);
+  for (MerkleMapProofStep& step : proof.steps) {
+    const std::uint8_t lo = r.u8();
+    const std::uint8_t hi = r.u8();
+    step.bitmap = static_cast<std::uint16_t>(lo | (unsigned{hi} << 8));
+    const std::uint8_t sibling_count = r.u8();
     const unsigned present = static_cast<unsigned>(std::popcount(step.bitmap));
     // An honest step carries either every present child (terminating
     // absent-slot step) or all but the one on the path.
-    if (sibling_count.value() > present ||
-        sibling_count.value() + 1 < present) {
-      return make_error("proof.bad_sibling_count",
-                        "sibling count inconsistent with bitmap");
-    }
-    step.siblings.reserve(sibling_count.value());
-    for (unsigned s = 0; s < sibling_count.value(); ++s) {
-      auto raw = r.raw(32);
-      if (!raw.ok()) return raw.error();
-      Digest d;
-      std::copy(raw.value().begin(), raw.value().end(), d.begin());
-      step.siblings.push_back(d);
-    }
-    proof.steps.push_back(std::move(step));
+    r.require(sibling_count <= present && sibling_count + 1u >= present,
+              "proof.bad_sibling_count", "sibling count inconsistent with bitmap");
+    step.siblings.resize(r.ok() ? sibling_count : 0);
+    for (Digest& d : step.siblings) r.fixed(d);
   }
-  if ((flags.value() & 0x01u) != 0) {
+  if ((flags & 0x01u) != 0) {
     proof.has_terminal_leaf = true;
-    const auto key = r.u64();
-    if (!key.ok()) return key.error();
-    proof.terminal_key = key.value();
-    auto raw = r.raw(32);
-    if (!raw.ok()) return raw.error();
-    std::copy(raw.value().begin(), raw.value().end(),
-              proof.terminal_value.begin());
+    proof.terminal_key = r.u64();
+    r.fixed(proof.terminal_value);
   }
-  if (!r.exhausted()) {
-    return make_error("proof.trailing_bytes", "proof has trailing bytes");
-  }
-  return proof;
+  return r.finish(std::move(proof), "proof.trailing_bytes", "proof has trailing bytes");
 }
 
 Digest MerkleMap::root_with(const Delta& delta, Prepared* prepared) const {

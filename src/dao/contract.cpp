@@ -25,13 +25,6 @@ Bytes encode_u64(std::uint64_t v) {
   return w.take();
 }
 
-std::uint64_t read_u64(const Bytes* bytes, std::uint64_t fallback = 0) {
-  if (bytes == nullptr) return fallback;
-  ByteReader r(*bytes);
-  auto v = r.u64();
-  return v.ok() ? v.value() : fallback;
-}
-
 struct Meta {
   std::string title;
   std::uint64_t author = 0;
@@ -47,21 +40,15 @@ struct Meta {
     return w.take();
   }
 
+  /// Lenient: bytes after the status byte are ignored.
   [[nodiscard]] static Result<Meta> decode(const Bytes& bytes) {
     ByteReader r(bytes);
     Meta m;
-    auto title = r.str();
-    if (!title.ok()) return title.error();
-    m.title = title.value();
-    auto author = r.u64();
-    if (!author.ok()) return author.error();
-    m.author = author.value();
-    auto height = r.i64();
-    if (!height.ok()) return height.error();
-    m.created_height = height.value();
-    auto status = r.u8();
-    if (!status.ok()) return status.error();
-    m.status = status.value();
+    m.title = r.str();
+    m.author = r.u64();
+    m.created_height = r.i64();
+    m.status = r.u8();
+    if (!r.ok()) return r.error();
     return m;
   }
 };
@@ -73,11 +60,11 @@ struct BallotRecord {
 
 std::optional<BallotRecord> decode_ballot(const Bytes& bytes) {
   ByteReader r(bytes);
-  auto choice = r.u8();
-  if (!choice.ok() || choice.value() > 2) return std::nullopt;
   BallotRecord record;
-  record.choice = choice.value();
-  if (auto weight = r.u64(); weight.ok()) record.weight = weight.value();
+  record.choice = r.u8();
+  if (!r.ok() || record.choice > 2) return std::nullopt;
+  const std::uint64_t weight = r.u64();
+  if (r.ok()) record.weight = weight;
   return record;
 }
 
@@ -98,7 +85,7 @@ Status DaoContract::do_join(ledger::CallContext& ctx) const {
     return Status::fail(errc::kDaoAlreadyMember, "caller already joined");
   }
   ctx.put(key, encode_u64(1));
-  ctx.put("member_count", encode_u64(read_u64(ctx.get("member_count")) + 1));
+  ctx.put("member_count", encode_u64(leading_u64(ctx.get("member_count")) + 1));
   return {};
 }
 
@@ -107,14 +94,14 @@ Status DaoContract::do_propose(ledger::CallContext& ctx, const Bytes& args) cons
     return Status::fail(errc::kDaoNotAMember, "join first");
   }
   ByteReader r(args);
-  auto title = r.str();
-  if (!title.ok()) return Status::fail(errc::kDaoBadArgs, "missing title");
+  std::string title = r.str();
+  if (!r.ok()) return Status::fail(errc::kDaoBadArgs, "missing title");
 
-  const std::uint64_t id = read_u64(ctx.get("next_id"));
+  const std::uint64_t id = leading_u64(ctx.get("next_id"));
   ctx.put("next_id", encode_u64(id + 1));
 
   Meta meta;
-  meta.title = title.value();
+  meta.title = std::move(title);
   meta.author = ctx.caller().value;
   meta.created_height = ctx.height();
   meta.status = static_cast<std::uint8_t>(OnChainStatus::kVoting);
@@ -127,12 +114,12 @@ Status DaoContract::do_vote(ledger::CallContext& ctx, const Bytes& args) const {
     return Status::fail(errc::kDaoNotAMember, "join first");
   }
   ByteReader r(args);
-  auto id = r.u64();
-  auto choice = r.u8();
-  if (!id.ok() || !choice.ok() || choice.value() > 2) {
+  const std::uint64_t id = r.u64();
+  const std::uint8_t choice = r.u8();
+  if (!r.ok() || choice > 2) {
     return Status::fail(errc::kDaoBadArgs, "vote(id: u64, choice: 0|1|2)");
   }
-  const Bytes* meta_bytes = ctx.get(meta_key(id.value()));
+  const Bytes* meta_bytes = ctx.get(meta_key(id));
   if (meta_bytes == nullptr) {
     return Status::fail(errc::kDaoNoSuchProposal, "unknown proposal");
   }
@@ -144,7 +131,7 @@ Status DaoContract::do_vote(ledger::CallContext& ctx, const Bytes& args) const {
   if (ctx.height() >= meta.value().created_height + config_.voting_period_blocks) {
     return Status::fail(errc::kDaoVotingClosed, "voting period elapsed");
   }
-  const std::string key = vote_key(id.value(), ctx.caller());
+  const std::string key = vote_key(id, ctx.caller());
   if (ctx.get(key) != nullptr) {
     return Status::fail(errc::kDaoDoubleVote, "ballot already cast");
   }
@@ -154,7 +141,7 @@ Status DaoContract::do_vote(ledger::CallContext& ctx, const Bytes& args) const {
       config_.token_weighted ? std::max<std::uint64_t>(1, ctx.balance(ctx.caller()))
                              : 1;
   ByteWriter w;
-  w.u8(choice.value());
+  w.u8(choice);
   w.u64(weight);
   ctx.put(key, w.take());
   return {};
@@ -162,9 +149,9 @@ Status DaoContract::do_vote(ledger::CallContext& ctx, const Bytes& args) const {
 
 Status DaoContract::do_finalize(ledger::CallContext& ctx, const Bytes& args) const {
   ByteReader r(args);
-  auto id = r.u64();
-  if (!id.ok()) return Status::fail(errc::kDaoBadArgs, "finalize(id: u64)");
-  const Bytes* meta_bytes = ctx.get(meta_key(id.value()));
+  const std::uint64_t id = r.u64();
+  if (!r.ok()) return Status::fail(errc::kDaoBadArgs, "finalize(id: u64)");
+  const Bytes* meta_bytes = ctx.get(meta_key(id));
   if (meta_bytes == nullptr) {
     return Status::fail(errc::kDaoNoSuchProposal, "unknown proposal");
   }
@@ -180,7 +167,7 @@ Status DaoContract::do_finalize(ledger::CallContext& ctx, const Bytes& args) con
 
   double counts[3] = {0, 0, 0};
   std::uint64_t voters = 0;
-  for (const auto& key : ctx.keys_with_prefix(vote_prefix(id.value()))) {
+  for (const auto& key : ctx.keys_with_prefix(vote_prefix(id))) {
     const Bytes* ballot = ctx.get(key);
     if (ballot == nullptr) continue;
     const auto record = decode_ballot(*ballot);
@@ -191,7 +178,7 @@ Status DaoContract::do_finalize(ledger::CallContext& ctx, const Bytes& args) con
   // Turnout: head-count fraction of members (weight-independent, so whales
   // cannot manufacture quorum on their own under token weighting).
   const double members =
-      static_cast<double>(std::max<std::uint64_t>(1, read_u64(ctx.get("member_count"))));
+      static_cast<double>(std::max<std::uint64_t>(1, leading_u64(ctx.get("member_count"))));
   const double turnout = static_cast<double>(voters) / members;
   const double decisive = counts[0] + counts[1];
   const double yes_share = decisive > 0.0 ? counts[0] / decisive : 0.0;
@@ -200,7 +187,7 @@ Status DaoContract::do_finalize(ledger::CallContext& ctx, const Bytes& args) con
       (turnout >= config_.quorum && yes_share > config_.pass_threshold)
           ? OnChainStatus::kPassed
           : OnChainStatus::kRejected);
-  ctx.put(meta_key(id.value()), meta.encode());
+  ctx.put(meta_key(id), meta.encode());
   return {};
 }
 
@@ -209,7 +196,7 @@ std::uint64_t DaoContract::member_count(const ledger::LedgerState& state,
   const auto* store = state.find_store(contract);
   if (store == nullptr) return 0;
   const auto it = store->find("member_count");
-  return it == store->end() ? 0 : read_u64(&it->second);
+  return it == store->end() ? 0 : leading_u64(&it->second);
 }
 
 std::uint64_t DaoContract::proposal_count(const ledger::LedgerState& state,
@@ -217,7 +204,7 @@ std::uint64_t DaoContract::proposal_count(const ledger::LedgerState& state,
   const auto* store = state.find_store(contract);
   if (store == nullptr) return 0;
   const auto it = store->find("next_id");
-  return it == store->end() ? 0 : read_u64(&it->second);
+  return it == store->end() ? 0 : leading_u64(&it->second);
 }
 
 Result<DaoContract::ProposalView> DaoContract::proposal(

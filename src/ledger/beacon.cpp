@@ -15,12 +15,6 @@ constexpr std::string_view kAnchorDomain = "mv.shard.anchor.v1";
 /// any deployment, low enough that a forged count cannot drive allocation.
 constexpr std::uint32_t kMaxShards = 1u << 16;
 
-crypto::Digest digest_from(const Bytes& raw) {
-  crypto::Digest d{};
-  std::copy(raw.begin(), raw.end(), d.begin());
-  return d;
-}
-
 }  // namespace
 
 crypto::Digest shard_anchor_digest(const ShardAnchor& anchor) {
@@ -81,55 +75,30 @@ Bytes BeaconHeader::encode() const {
   return w.take();
 }
 
-Result<BeaconHeader> BeaconHeader::decode(const Bytes& bytes) {
+Result<BeaconHeader> BeaconHeader::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   BeaconHeader h;
-  auto height = r.i64();
-  if (!height.ok()) return height.error();
-  h.height = height.value();
-  auto prev = r.raw(32);
-  if (!prev.ok()) return prev.error();
-  h.prev_hash = digest_from(prev.value());
-  auto ts = r.i64();
-  if (!ts.ok()) return ts.error();
-  h.timestamp = ts.value();
-  auto count = r.u32();
-  if (!count.ok()) return count.error();
-  if (count.value() == 0 || count.value() > kMaxShards ||
-      static_cast<std::size_t>(count.value()) * 64 > r.remaining()) {
-    return make_error(errc::kBeaconBadCount, "shard count out of range");
+  h.height = r.i64();
+  r.fixed(h.prev_hash);
+  h.timestamp = r.i64();
+  const std::size_t count = r.count(kMaxShards, 64, errc::kBeaconBadCount);
+  r.require(count != 0, errc::kBeaconBadCount, "shard count out of range");
+  h.shards.resize(count);
+  for (ShardAnchor& a : h.shards) {
+    r.fixed(a.state_root);
+    r.fixed(a.receipts_root);
   }
-  h.shards.reserve(count.value());
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    ShardAnchor a;
-    auto state = r.raw(32);
-    if (!state.ok()) return state.error();
-    a.state_root = digest_from(state.value());
-    auto receipts = r.raw(32);
-    if (!receipts.ok()) return receipts.error();
-    a.receipts_root = digest_from(receipts.value());
-    h.shards.push_back(a);
-  }
-  auto root = r.raw(32);
-  if (!root.ok()) return root.error();
+  crypto::Digest root{};
+  r.fixed(root);
   // The root is derived state: recompute it and refuse a stream whose
   // claimed root disagrees — no semantically inert bytes.
-  h.beacon_root = combine_beacon_root(h.shards);
-  if (digest_from(root.value()) != h.beacon_root) {
-    return make_error(errc::kBeaconBadRoot, "beacon root does not recombine");
-  }
-  auto pub = r.u64();
-  if (!pub.ok()) return pub.error();
-  h.proposer_pub.y = pub.value();
-  auto e = r.u64();
-  if (!e.ok()) return e.error();
-  auto s = r.u64();
-  if (!s.ok()) return s.error();
-  h.proposer_sig = crypto::Signature{e.value(), s.value()};
-  if (!r.exhausted()) {
-    return make_error(errc::kBeaconTrailing, "trailing bytes after header");
-  }
-  return h;
+  if (r.ok()) h.beacon_root = combine_beacon_root(h.shards);
+  r.require(root == h.beacon_root, errc::kBeaconBadRoot,
+            "beacon root does not recombine");
+  h.proposer_pub.y = r.u64();
+  h.proposer_sig.e = r.u64();
+  h.proposer_sig.s = r.u64();
+  return r.finish(std::move(h), errc::kBeaconTrailing, "trailing bytes after header");
 }
 
 crypto::Digest BeaconHeader::hash() const { return crypto::sha256(encode()); }

@@ -23,38 +23,18 @@ Bytes BlockHeader::encode() const {
 
 crypto::Digest BlockHeader::hash() const { return crypto::sha256(encode()); }
 
-Result<BlockHeader> BlockHeader::decode(const Bytes& bytes) {
+Result<BlockHeader> BlockHeader::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   BlockHeader header;
-  auto height = r.i64();
-  if (!height.ok()) return height.error();
-  header.height = height.value();
-  auto prev = r.raw(32);
-  if (!prev.ok()) return prev.error();
-  std::copy(prev.value().begin(), prev.value().end(), header.prev_hash.begin());
-  auto tx_root = r.raw(32);
-  if (!tx_root.ok()) return tx_root.error();
-  std::copy(tx_root.value().begin(), tx_root.value().end(),
-            header.tx_root.begin());
-  auto state_root = r.raw(32);
-  if (!state_root.ok()) return state_root.error();
-  std::copy(state_root.value().begin(), state_root.value().end(),
-            header.state_root.begin());
-  auto ts = r.i64();
-  if (!ts.ok()) return ts.error();
-  header.timestamp = ts.value();
-  auto pub = r.u64();
-  if (!pub.ok()) return pub.error();
-  header.proposer_pub.y = pub.value();
-  auto e = r.u64();
-  if (!e.ok()) return e.error();
-  auto s = r.u64();
-  if (!s.ok()) return s.error();
-  header.proposer_sig = crypto::Signature{e.value(), s.value()};
-  if (!r.exhausted()) {
-    return make_error("block.trailing_bytes", "unparsed trailing header data");
-  }
-  return header;
+  header.height = r.i64();
+  r.fixed(header.prev_hash);
+  r.fixed(header.tx_root);
+  r.fixed(header.state_root);
+  header.timestamp = r.i64();
+  header.proposer_pub.y = r.u64();
+  header.proposer_sig.e = r.u64();
+  header.proposer_sig.s = r.u64();
+  return r.finish(header, "block.trailing_bytes", "unparsed trailing header data");
 }
 
 Bytes Block::encode() const {
@@ -65,35 +45,17 @@ Bytes Block::encode() const {
   return w.take();
 }
 
-Result<Block> Block::decode(const Bytes& bytes) {
+Result<Block> Block::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  auto header_bytes = r.bytes();
-  if (!header_bytes.ok()) return header_bytes.error();
-
   Block block;
-  auto header = BlockHeader::decode(header_bytes.value());
-  if (!header.ok()) return header.error();
-  block.header = std::move(header).value();
-
-  auto count = r.u32();
-  if (!count.ok()) return count.error();
-  // Every encoded tx costs at least its 4-byte length prefix; a count beyond
-  // that bound is forged (and must not drive a huge reserve()).
-  if (count.value() > r.remaining() / 4) {
-    return make_error("block.bad_tx_count", "tx count exceeds payload size");
+  block.header = r.take(BlockHeader::decode(r.nested()));
+  // Every encoded tx costs at least its 4-byte length prefix.
+  const std::size_t count = r.count(SIZE_MAX, 4, "block.bad_tx_count");
+  block.txs.reserve(count);
+  for (std::size_t i = 0; i < count && r.ok(); ++i) {
+    block.txs.push_back(r.take(Transaction::decode(r.nested())));
   }
-  block.txs.reserve(count.value());
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto tx_bytes = r.bytes();
-    if (!tx_bytes.ok()) return tx_bytes.error();
-    auto tx = Transaction::decode(tx_bytes.value());
-    if (!tx.ok()) return tx.error();
-    block.txs.push_back(std::move(tx).value());
-  }
-  if (!r.exhausted()) {
-    return make_error("block.trailing_bytes", "unparsed trailing data");
-  }
-  return block;
+  return r.finish(std::move(block), "block.trailing_bytes", "unparsed trailing data");
 }
 
 crypto::Digest Block::compute_tx_root(const std::vector<Transaction>& txs) {

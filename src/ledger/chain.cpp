@@ -167,7 +167,12 @@ Status Blockchain::append(const Block& block) {
   if (commit_hook_) commit_hook_(block, undo);
   if (config_.state_retention > 0) {
     retained_.push_back(Retained{std::move(undo), commitment});
-    if (retained_.size() > config_.state_retention) retained_.pop_front();
+    if (retained_.size() > config_.state_retention) {
+      // The slot leaving the ring holds the post-state the oldest remaining
+      // undo rolls back to: keep its commitment.
+      ring_floor_ = retained_.front().commitment;
+      retained_.pop_front();
+    }
   }
   return {};
 }
@@ -183,9 +188,9 @@ bool Blockchain::retains(std::int64_t height) const {
 const StateCommitment* Blockchain::commitment_at(std::int64_t height) const {
   const std::int64_t tip = this->height() - 1;
   const std::int64_t back = tip - height;  // slots behind the ring's back()
-  if (height > tip || back >= static_cast<std::int64_t>(retained_.size())) {
-    return nullptr;
-  }
+  const auto size = static_cast<std::int64_t>(retained_.size());
+  if (height > tip || back > size) return nullptr;
+  if (back == size) return ring_floor_.has_value() ? &*ring_floor_ : nullptr;
   return &retained_[retained_.size() - 1 - static_cast<std::size_t>(back)].commitment;
 }
 
@@ -197,10 +202,10 @@ Result<LedgerState> Blockchain::state_at(std::int64_t height) const {
         retained_.size() - 1 - static_cast<std::size_t>(tip - h);
     state.apply_undo(retained_[slot].undo);
   }
-  // Sanity anchor: a retained commitment for `height` must be reproduced
-  // exactly (absent only at the very edge of the window).
+  // Sanity anchor: the retained commitment for `height` must be reproduced
+  // exactly.
   if (const StateCommitment* expected = commitment_at(height);
-      expected != nullptr && state.commitment() != *expected) {
+      expected == nullptr || state.commitment() != *expected) {
     return make_error(errc::kChainRetentionCorrupt,
                       "rolled-back state does not match retained commitment");
   }
@@ -297,29 +302,26 @@ Result<Snapshot> Blockchain::export_snapshot(std::int64_t height,
   if (height == this->height() - 1) {
     return build_snapshot(state(), height, chunk_size);
   }
-  // Historical export fast path: roll the undo ring back over a content-only
-  // copy (no O(state) Merkle-tree clone) and take the manifest commitment
-  // from the retention ring, which holds the post-state commitment of every
-  // retained height. The receiver's trust chain (header.state_root ==
-  // manifest root → per-chunk digests → decoded-state commitment re-check)
-  // verifies the result end to end, so a corrupt ring cannot produce an
+  // Historical export: roll the undo ring back over a content-only copy (no
+  // O(state) Merkle-tree clone) and take the manifest commitment from the
+  // retention ring, which holds the commitment of every height it reaches.
+  // The receiver's trust chain (header.state_root == manifest root →
+  // per-chunk digests → decoded-state commitment re-check) verifies the
+  // result end to end, so a corrupt ring cannot produce an
   // installable-but-wrong snapshot — it produces one every receiver rejects.
-  if (const StateCommitment* commitment = commitment_at(height);
-      commitment != nullptr) {
-    LedgerState content = state().content_clone();
-    const std::int64_t tip = this->height() - 1;
-    for (std::int64_t h = tip; h > height; --h) {
-      const std::size_t slot =
-          retained_.size() - 1 - static_cast<std::size_t>(tip - h);
-      content.apply_undo(retained_[slot].undo);
-    }
-    return build_snapshot(content, height, *commitment, chunk_size);
+  const StateCommitment* commitment = commitment_at(height);
+  if (commitment == nullptr) {
+    return make_error(errc::kChainRetentionCorrupt,
+                      "retained height has no retained commitment");
   }
-  // Edge of the window: the undo chain still reaches `height` but its own
-  // commitment has left the ring — fall back to the verifying full copy.
-  auto state = state_at(height);
-  if (!state.ok()) return state.error();
-  return build_snapshot(state.value(), height, chunk_size);
+  LedgerState content = state().content_clone();
+  const std::int64_t tip = this->height() - 1;
+  for (std::int64_t h = tip; h > height; --h) {
+    const std::size_t slot =
+        retained_.size() - 1 - static_cast<std::size_t>(tip - h);
+    content.apply_undo(retained_[slot].undo);
+  }
+  return build_snapshot(content, height, *commitment, chunk_size);
 }
 
 Status Blockchain::init_from_snapshot(const SnapshotManifest& manifest,
@@ -355,6 +357,8 @@ Status Blockchain::init_from_snapshot(const SnapshotManifest& manifest,
   base_height_ = anchor.height + 1;
   base_hash_ = anchor.hash();
   retained_.clear();
+  // The installed state is what the first retained undo will roll back to.
+  if (config_.state_retention > 0) ring_floor_ = manifest.commitment;
   memo_.reset();
   return {};
 }
@@ -372,18 +376,21 @@ Bytes Blockchain::export_blocks_from(std::int64_t from_height) const {
   return w.take();
 }
 
-Result<std::size_t> Blockchain::import_blocks(const Bytes& data) {
+Result<std::size_t> Blockchain::import_blocks(std::span<const std::uint8_t> data) {
+  // The framing is checked whole before the first block is applied, so a
+  // stream with a forged count or trailing bytes changes nothing.
   ByteReader r(data);
-  auto count = r.u32();
-  if (!count.ok()) return count.error();
-  if (count.value() > r.remaining() / 4) {
-    return make_error(errc::kChainBadBlockCount, "count exceeds payload size");
+  const std::size_t count = r.count(SIZE_MAX, 4, errc::kChainBadBlockCount);
+  std::vector<std::span<const std::uint8_t>> frames;
+  frames.reserve(count);
+  for (std::size_t i = 0; i < count && r.ok(); ++i) frames.push_back(r.nested());
+  if (auto s = r.finish(errc::kChainBadBlockCount, "bytes after the last block");
+      !s.ok()) {
+    return s.error();
   }
   std::size_t appended = 0;
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto block_bytes = r.bytes();
-    if (!block_bytes.ok()) return block_bytes.error();
-    auto block = Block::decode(block_bytes.value());
+  for (const auto frame : frames) {
+    auto block = Block::decode(frame);
     if (!block.ok()) return block.error();
     // Skip blocks we already have (replaying a full archive onto a node
     // that is partially synced).

@@ -129,8 +129,9 @@ class Blockchain {
   [[nodiscard]] Result<AccountProof> prove_account(crypto::Address addr,
                                                    std::int64_t block_height) const;
 
-  /// Post-state commitment of block `height`, when the retention ring still
-  /// covers it (the tip always is). nullptr otherwise.
+  /// Post-state commitment of block `height`, for the tip and every height
+  /// the retention ring can roll back to (with retention 0, none). nullptr
+  /// otherwise.
   [[nodiscard]] const StateCommitment* commitment_at(std::int64_t height) const;
 
   /// Build a verified snapshot of the state as of block `height` (the tip or
@@ -168,8 +169,11 @@ class Blockchain {
   [[nodiscard]] Bytes export_blocks_from(std::int64_t from_height) const;
   /// Replay an exported stream from this chain's current height, fully
   /// re-validating each block. Stops at the first invalid block (the valid
-  /// prefix stays committed). Returns the number of blocks appended.
-  [[nodiscard]] Result<std::size_t> import_blocks(const Bytes& data);
+  /// prefix stays committed). A stream whose framing is malformed (a forged
+  /// count, a truncated frame, bytes after the last block) is rejected
+  /// before any block is applied. Returns the number of blocks appended.
+  [[nodiscard]] Result<std::size_t> import_blocks(
+      std::span<const std::uint8_t> data);
 
  private:
   /// One-slot execution memo (DESIGN.md §7 "Execution memo"): the staged
@@ -223,6 +227,11 @@ class Blockchain {
   /// Undo ring, oldest first; back() reverts the tip block. Capped at
   /// config.state_retention.
   std::deque<Retained> retained_;
+  /// Commitment of the state the ring's oldest undo rolls back to (height
+  /// tip - retained_.size()), so every height the ring can reach has its
+  /// commitment. Set once a block leaves the ring or a snapshot installs;
+  /// unset with retention 0.
+  std::optional<StateCommitment> ring_floor_;
   mutable ValidationStats vstats_;
   mutable std::optional<ExecutionMemo> memo_;
   CommitHook commit_hook_;

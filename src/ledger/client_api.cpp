@@ -83,24 +83,23 @@ Status ClientApi::drop_subscriber(NodeId node) {
   return {};
 }
 
-Bytes ClientApi::dispatch(const Bytes& request) const {
+Bytes ClientApi::dispatch(std::span<const std::uint8_t> request) const {
   ByteReader r(request);
-  const auto version = r.u32();
-  const auto kind = r.u8();
-  if (!version.ok() || !kind.ok()) {
+  const std::uint32_t version = r.u32();
+  const std::uint8_t kind = r.u8();
+  if (!r.ok()) {
     return encode_err(
         Error{errc::kApiBadRequest, "truncated request envelope"});
   }
-  if (version.value() != kClientApiVersion) {
+  if (version != kClientApiVersion) {
     return encode_err(Error{errc::kApiBadVersion,
-                            "client speaks version " +
-                                std::to_string(version.value()) +
+                            "client speaks version " + std::to_string(version) +
                                 ", node speaks " +
                                 std::to_string(kClientApiVersion)});
   }
-  switch (static_cast<ClientRequest>(kind.value())) {
+  switch (static_cast<ClientRequest>(kind)) {
     case ClientRequest::kTip: {
-      if (!r.exhausted()) {
+      if (!r.finish().ok()) {
         return encode_err(Error{errc::kApiBadRequest, "trailing bytes"});
       }
       ByteWriter w;
@@ -108,28 +107,27 @@ Bytes ClientApi::dispatch(const Bytes& request) const {
       return encode_ok(w.take());
     }
     case ClientRequest::kHeader: {
-      const auto height = r.i64();
-      if (!height.ok() || !r.exhausted()) {
+      const std::int64_t height = r.i64();
+      if (!r.finish().ok()) {
         return encode_err(Error{errc::kApiBadRequest, "malformed header request"});
       }
-      auto h = header(height.value());
+      auto h = header(height);
       if (!h.ok()) return encode_err(h.error());
       return encode_ok(h.value().encode());
     }
     case ClientRequest::kAccountProof: {
-      const auto address = r.u64();
-      const auto height = r.i64();
-      if (!address.ok() || !height.ok() || !r.exhausted()) {
+      const crypto::Address address{r.u64()};
+      const std::int64_t height = r.i64();
+      if (!r.finish().ok()) {
         return encode_err(Error{errc::kApiBadRequest, "malformed proof request"});
       }
-      auto proof = account_proof(crypto::Address{address.value()}, height.value());
+      auto proof = account_proof(address, height);
       if (!proof.ok()) return encode_err(proof.error());
       return encode_ok(proof.value().encode());
     }
   }
   return encode_err(Error{errc::kApiBadRequest,
-                          "unknown request kind " +
-                              std::to_string(kind.value())});
+                          "unknown request kind " + std::to_string(kind)});
 }
 
 }  // namespace mv::ledger

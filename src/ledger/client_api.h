@@ -77,7 +77,7 @@ class ClientApi {
   /// u32 version, u8 ok, then payload bytes (ok=1) or code + message strings
   /// (ok=0). Malformed input answers api.bad_request, a version mismatch
   /// api.bad_version.
-  [[nodiscard]] Bytes dispatch(const Bytes& request) const;
+  [[nodiscard]] Bytes dispatch(std::span<const std::uint8_t> request) const;
 
  private:
   /// Fold a subsystem error into the api.* taxonomy (passthrough when no

@@ -14,44 +14,28 @@ Bytes vote_signing_bytes(std::int64_t height, const crypto::Digest& block_hash) 
   return w.take();
 }
 
-struct VoteMsg {
-  std::int64_t height = 0;
-  crypto::Digest block_hash{};
-  crypto::PublicKey voter;
-  crypto::Signature sig;
-
-  [[nodiscard]] Bytes encode() const {
-    ByteWriter w;
-    w.i64(height);
-    w.raw(block_hash);
-    w.u64(voter.y);
-    w.u64(sig.e);
-    w.u64(sig.s);
-    return w.take();
-  }
-
-  [[nodiscard]] static Result<VoteMsg> decode(const Bytes& bytes) {
-    ByteReader r(bytes);
-    VoteMsg v;
-    auto h = r.i64();
-    if (!h.ok()) return h.error();
-    v.height = h.value();
-    auto hash = r.raw(32);
-    if (!hash.ok()) return hash.error();
-    std::copy(hash.value().begin(), hash.value().end(), v.block_hash.begin());
-    auto pub = r.u64();
-    if (!pub.ok()) return pub.error();
-    v.voter.y = pub.value();
-    auto e = r.u64();
-    if (!e.ok()) return e.error();
-    auto s = r.u64();
-    if (!s.ok()) return s.error();
-    v.sig = crypto::Signature{e.value(), s.value()};
-    return v;
-  }
-};
-
 }  // namespace
+
+Bytes VoteMsg::encode() const {
+  ByteWriter w;
+  w.i64(height);
+  w.raw(block_hash);
+  w.u64(voter.y);
+  w.u64(sig.e);
+  w.u64(sig.s);
+  return w.take();
+}
+
+Result<VoteMsg> VoteMsg::decode(std::span<const std::uint8_t> bytes) {
+  ByteReader r(bytes);
+  VoteMsg v;
+  v.height = r.i64();
+  r.fixed(v.block_hash);
+  v.voter.y = r.u64();
+  v.sig.e = r.u64();
+  v.sig.s = r.u64();
+  return r.finish(v, "vote.trailing_bytes", "unparsed trailing vote data");
+}
 
 ValidatorCommittee::ValidatorCommittee(
     net::Network& network, std::size_t n,
@@ -197,9 +181,9 @@ void ValidatorCommittee::serve_blocks(Validator& v, NodeId to,
 void ValidatorCommittee::handle_sync_request(Validator& v,
                                              const net::Message& msg) {
   ByteReader r(msg.payload());
-  auto from_height = r.i64();
-  if (!from_height.ok()) return;
-  serve_blocks(v, msg.from, from_height.value());
+  const std::int64_t from_height = r.i64();
+  if (!r.finish().ok()) return;
+  serve_blocks(v, msg.from, from_height);
 }
 
 void ValidatorCommittee::handle_sync_response(Validator& v, const Bytes& payload) {

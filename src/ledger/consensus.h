@@ -23,6 +23,18 @@
 
 namespace mv::ledger {
 
+/// One replica's vote for a block, as broadcast on the "vote" topic.
+struct VoteMsg {
+  std::int64_t height = 0;
+  crypto::Digest block_hash{};
+  crypto::PublicKey voter;
+  crypto::Signature sig;
+
+  [[nodiscard]] Bytes encode() const;
+  /// Strict: the whole buffer must be one vote ("vote.trailing_bytes").
+  [[nodiscard]] static Result<VoteMsg> decode(std::span<const std::uint8_t> bytes);
+};
+
 struct ConsensusStats {
   std::uint64_t rounds = 0;
   std::uint64_t committed_blocks = 0;

@@ -15,71 +15,28 @@ Bytes AccountProof::encode() const {
   w.u8(statement.has_balance ? 1 : 0);
   w.u64(statement.balance);
   w.u64(statement.nonce);
-  // Commitment sections only; the combined root is derived, not transported.
-  w.raw(commitment.accounts_root);
-  w.u64(commitment.account_count);
-  w.raw(commitment.audit_digest);
-  w.u64(commitment.audit_count);
-  w.raw(commitment.stores_digest);
-  w.u64(commitment.burned_fees);
+  write_commitment_sections(w, commitment);
   w.bytes(proof.encode());
   return w.take();
 }
 
-Result<AccountProof> AccountProof::decode(const Bytes& bytes) {
+Result<AccountProof> AccountProof::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   AccountProof ap;
-  auto addr = r.u64();
-  if (!addr.ok()) return addr.error();
-  ap.address = crypto::Address{addr.value()};
-  auto height = r.i64();
-  if (!height.ok()) return height.error();
-  ap.height = height.value();
-  auto exists = r.u8();
-  if (!exists.ok()) return exists.error();
-  auto has_balance = r.u8();
-  if (!has_balance.ok()) return has_balance.error();
-  if (exists.value() > 1 || has_balance.value() > 1) {
-    return make_error("proof.bad_statement", "flag byte is not 0 or 1");
-  }
-  ap.statement.exists = exists.value() == 1;
-  ap.statement.has_balance = has_balance.value() == 1;
-  auto balance = r.u64();
-  if (!balance.ok()) return balance.error();
-  ap.statement.balance = balance.value();
-  auto nonce = r.u64();
-  if (!nonce.ok()) return nonce.error();
-  ap.statement.nonce = nonce.value();
-
-  auto read_digest = [&r](crypto::Digest& out) -> Status {
-    auto raw = r.raw(out.size());
-    if (!raw.ok()) return raw.error();
-    std::copy(raw.value().begin(), raw.value().end(), out.begin());
-    return {};
-  };
-  if (Status s = read_digest(ap.commitment.accounts_root); !s.ok()) return s.error();
-  auto account_count = r.u64();
-  if (!account_count.ok()) return account_count.error();
-  ap.commitment.account_count = account_count.value();
-  if (Status s = read_digest(ap.commitment.audit_digest); !s.ok()) return s.error();
-  auto audit_count = r.u64();
-  if (!audit_count.ok()) return audit_count.error();
-  ap.commitment.audit_count = audit_count.value();
-  if (Status s = read_digest(ap.commitment.stores_digest); !s.ok()) return s.error();
-  auto burned = r.u64();
-  if (!burned.ok()) return burned.error();
-  ap.commitment.burned_fees = burned.value();
-  ap.commitment.root = combine_commitment_root(ap.commitment);
-
-  auto proof_bytes = r.bytes();
-  if (!proof_bytes.ok()) return proof_bytes.error();
-  auto proof = crypto::MerkleMapProof::decode(proof_bytes.value());
-  if (!proof.ok()) return proof.error();
-  ap.proof = std::move(proof).value();
-  if (!r.exhausted()) {
-    return make_error("proof.trailing_bytes", "unconsumed bytes after proof");
-  }
-  return ap;
+  ap.address.value = r.u64();
+  ap.height = r.i64();
+  const std::uint8_t exists = r.u8();
+  const std::uint8_t has_balance = r.u8();
+  r.require(exists <= 1 && has_balance <= 1, "proof.bad_statement",
+            "flag byte is not 0 or 1");
+  ap.statement.exists = exists == 1;
+  ap.statement.has_balance = has_balance == 1;
+  ap.statement.balance = r.u64();
+  ap.statement.nonce = r.u64();
+  ap.commitment = read_commitment_sections(r);
+  ap.proof = r.take(crypto::MerkleMapProof::decode(r.nested()));
+  return r.finish(std::move(ap), "proof.trailing_bytes",
+                  "unconsumed bytes after proof");
 }
 
 Status verify_account_proof(const AccountProof& ap,

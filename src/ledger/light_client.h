@@ -53,7 +53,7 @@ struct AccountProof {
   /// Strict decode: rejects trailing bytes and malformed embedded proofs.
   /// `commitment.root` is recombined from the sections, never read off the
   /// wire — a served root that disagrees with its sections cannot survive.
-  [[nodiscard]] static Result<AccountProof> decode(const Bytes& bytes);
+  [[nodiscard]] static Result<AccountProof> decode(std::span<const std::uint8_t> bytes);
 };
 
 /// Verify `ap` against a trusted state root (e.g. a checked header's

@@ -41,16 +41,9 @@ Bytes encode_u64(std::uint64_t v) {
   return w.take();
 }
 
-std::uint64_t decode_u64(const Bytes* bytes) {
-  if (bytes == nullptr) return 0;
-  ByteReader r(*bytes);
-  auto v = r.u64();
-  return v.ok() ? v.value() : 0;
-}
-
 /// Read-modify-write of a u64 counter in the contract's own store.
 void bump_counter(CallContext& ctx, const char* key, std::uint64_t delta) {
-  ctx.put(key, encode_u64(decode_u64(ctx.get(key)) + delta));
+  ctx.put(key, encode_u64(leading_u64(ctx.get(key)) + delta));
 }
 
 }  // namespace
@@ -96,39 +89,20 @@ Bytes CrossShardReceipt::encode() const {
   return w.take();
 }
 
-Result<CrossShardReceipt> CrossShardReceipt::decode(const Bytes& bytes) {
+Result<CrossShardReceipt> CrossShardReceipt::decode(
+    std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  auto magic = r.str();
-  if (!magic.ok()) return magic.error();
-  if (magic.value() != kReceiptMagic) {
-    return make_error(errc::kXShardBadArgs, "bad receipt magic");
-  }
+  r.require(r.str() == kReceiptMagic, errc::kXShardBadArgs, "bad receipt magic");
   CrossShardReceipt rec;
-  auto id = r.u64();
-  if (!id.ok()) return id.error();
-  rec.id = id.value();
-  auto source = r.u32();
-  if (!source.ok()) return source.error();
-  rec.source_shard = source.value();
-  auto dest = r.u32();
-  if (!dest.ok()) return dest.error();
-  rec.dest_shard = dest.value();
-  auto from = r.u64();
-  if (!from.ok()) return from.error();
-  rec.from.value = from.value();
-  auto to = r.u64();
-  if (!to.ok()) return to.error();
-  rec.to.value = to.value();
-  auto amount = r.u64();
-  if (!amount.ok()) return amount.error();
-  rec.amount = amount.value();
-  if (!r.exhausted()) {
-    return make_error(errc::kXShardBadArgs, "trailing bytes after receipt");
-  }
-  if (rec.source_shard == rec.dest_shard || !rec.to.valid() || rec.amount == 0) {
-    return make_error(errc::kXShardBadArgs, "receipt fields out of range");
-  }
-  return rec;
+  rec.id = r.u64();
+  rec.source_shard = r.u32();
+  rec.dest_shard = r.u32();
+  rec.from.value = r.u64();
+  rec.to.value = r.u64();
+  rec.amount = r.u64();
+  r.require(rec.source_shard != rec.dest_shard && rec.to.valid() && rec.amount != 0,
+            errc::kXShardBadArgs, "receipt fields out of range");
+  return r.finish(rec, errc::kXShardBadArgs, "trailing bytes after receipt");
 }
 
 Bytes XShardLockArgs::encode() const {
@@ -139,22 +113,13 @@ Bytes XShardLockArgs::encode() const {
   return w.take();
 }
 
-Result<XShardLockArgs> XShardLockArgs::decode(const Bytes& bytes) {
+Result<XShardLockArgs> XShardLockArgs::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   XShardLockArgs a;
-  auto dest = r.u32();
-  if (!dest.ok()) return dest.error();
-  a.dest_shard = dest.value();
-  auto to = r.u64();
-  if (!to.ok()) return to.error();
-  a.to.value = to.value();
-  auto amount = r.u64();
-  if (!amount.ok()) return amount.error();
-  a.amount = amount.value();
-  if (!r.exhausted()) {
-    return make_error(errc::kXShardBadArgs, "trailing bytes after lock args");
-  }
-  return a;
+  a.dest_shard = r.u32();
+  a.to.value = r.u64();
+  a.amount = r.u64();
+  return r.finish(a, errc::kXShardBadArgs, "trailing bytes after lock args");
 }
 
 Bytes XShardMintArgs::encode() const {
@@ -166,25 +131,14 @@ Bytes XShardMintArgs::encode() const {
   return w.take();
 }
 
-Result<XShardMintArgs> XShardMintArgs::decode(const Bytes& bytes) {
+Result<XShardMintArgs> XShardMintArgs::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   XShardMintArgs a;
-  auto height = r.i64();
-  if (!height.ok()) return height.error();
-  a.beacon_height = height.value();
-  auto source = r.u32();
-  if (!source.ok()) return source.error();
-  a.source_shard = source.value();
-  auto receipt = r.bytes();
-  if (!receipt.ok()) return receipt.error();
-  a.receipt = std::move(receipt).value();
-  auto proof = r.bytes();
-  if (!proof.ok()) return proof.error();
-  a.proof = std::move(proof).value();
-  if (!r.exhausted()) {
-    return make_error(errc::kXShardBadArgs, "trailing bytes after mint args");
-  }
-  return a;
+  a.beacon_height = r.i64();
+  a.source_shard = r.u32();
+  a.receipt = r.bytes();
+  a.proof = r.bytes();
+  return r.finish(std::move(a), errc::kXShardBadArgs, "trailing bytes after mint args");
 }
 
 std::string xshard_receipt_key(std::uint64_t id) {
@@ -219,7 +173,7 @@ Status XShardContract::lock(CallContext& ctx, const Bytes& raw) const {
   // (the nested call overlay would discard them anyway; failing early keeps
   // the error authoritative).
   if (Status s = ctx.burn(ctx.caller(), a.amount); !s.ok()) return s;
-  const std::uint64_t id = decode_u64(ctx.get(kXShardNextIdKey));
+  const std::uint64_t id = leading_u64(ctx.get(kXShardNextIdKey));
   const CrossShardReceipt receipt{id,          shard_id_, a.dest_shard,
                                   ctx.caller(), a.to,      a.amount};
   ctx.put(xshard_receipt_key(id), receipt.encode());
@@ -352,7 +306,7 @@ Status ShardedLedger::submit(Transaction tx, Tick now) {
 void ShardedLedger::refresh_receipts(Shard& shard) {
   const LedgerState& state = shard.chain->state();
   const std::uint64_t next =
-      decode_u64(state.store_get(kXShardContractName, kXShardNextIdKey));
+      leading_u64(state.store_get(kXShardContractName, kXShardNextIdKey));
   for (std::uint64_t id = shard.receipts_indexed; id < next; ++id) {
     const Bytes* bytes =
         state.store_get(kXShardContractName, xshard_receipt_key(id));

@@ -92,7 +92,8 @@ struct CrossShardReceipt {
   /// bearing — the mint path hashes the exact wire bytes into the proof
   /// check, and decode rejects trailing bytes, bad magic, and zero amounts.
   [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<CrossShardReceipt> decode(const Bytes& bytes);
+  [[nodiscard]] static Result<CrossShardReceipt> decode(
+      std::span<const std::uint8_t> bytes);
 };
 
 /// Args for xshard "lock": burn `amount` from the caller on this shard and
@@ -103,7 +104,8 @@ struct XShardLockArgs {
   std::uint64_t amount = 0;
 
   [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<XShardLockArgs> decode(const Bytes& bytes);
+  [[nodiscard]] static Result<XShardLockArgs> decode(
+      std::span<const std::uint8_t> bytes);
 };
 
 /// Args for xshard "mint": present source-shard receipt bytes plus a
@@ -116,7 +118,8 @@ struct XShardMintArgs {
   Bytes proof;                     ///< MerkleMapProof wire bytes
 
   [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<XShardMintArgs> decode(const Bytes& bytes);
+  [[nodiscard]] static Result<XShardMintArgs> decode(
+      std::span<const std::uint8_t> bytes);
 };
 
 /// Reserved xshard store keys (also read by the invariant checker).

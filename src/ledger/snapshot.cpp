@@ -84,12 +84,7 @@ Bytes SnapshotManifest::encode() const {
   ByteWriter w;
   w.u8(kManifestVersion);
   w.i64(height);
-  w.raw(commitment.accounts_root);
-  w.u64(commitment.account_count);
-  w.raw(commitment.audit_digest);
-  w.u64(commitment.audit_count);
-  w.raw(commitment.stores_digest);
-  w.u64(commitment.burned_fees);
+  write_commitment_sections(w, commitment);
   w.u32(chunk_size);
   w.u64(total_bytes);
   w.u32(chunk_count());
@@ -97,66 +92,27 @@ Bytes SnapshotManifest::encode() const {
   return w.take();
 }
 
-Result<SnapshotManifest> SnapshotManifest::decode(const Bytes& bytes) {
+Result<SnapshotManifest> SnapshotManifest::decode(
+    std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  const auto version = r.u8();
-  if (!version.ok()) return version.error();
-  if (version.value() != kManifestVersion) {
-    return make_error("snapshot.bad_version", "unknown manifest version");
-  }
+  r.require(r.u8() == kManifestVersion, "snapshot.bad_version",
+            "unknown manifest version");
   SnapshotManifest m;
-  const auto height = r.i64();
-  if (!height.ok()) return height.error();
-  m.height = height.value();
-  if (m.height < 0) return make_error("snapshot.bad_height", "negative height");
-  auto read_digest = [&r](crypto::Digest& out) -> Status {
-    auto raw = r.raw(out.size());
-    if (!raw.ok()) return Status::fail(raw.error().code, raw.error().message);
-    std::copy(raw.value().begin(), raw.value().end(), out.begin());
-    return {};
-  };
-  if (auto s = read_digest(m.commitment.accounts_root); !s.ok()) return s.error();
-  const auto account_count = r.u64();
-  if (!account_count.ok()) return account_count.error();
-  m.commitment.account_count = account_count.value();
-  if (auto s = read_digest(m.commitment.audit_digest); !s.ok()) return s.error();
-  const auto audit_count = r.u64();
-  if (!audit_count.ok()) return audit_count.error();
-  m.commitment.audit_count = audit_count.value();
-  if (auto s = read_digest(m.commitment.stores_digest); !s.ok()) return s.error();
-  const auto burned = r.u64();
-  if (!burned.ok()) return burned.error();
-  m.commitment.burned_fees = burned.value();
-  // The root is recombined, never transported: a manifest whose sections
-  // disagree with its root cannot exist by construction.
-  m.commitment.root = combine_commitment_root(m.commitment);
-
-  const auto chunk_size = r.u32();
-  if (!chunk_size.ok()) return chunk_size.error();
-  m.chunk_size = chunk_size.value();
-  const auto total = r.u64();
-  if (!total.ok()) return total.error();
-  m.total_bytes = total.value();
-  const auto count = r.u32();
-  if (!count.ok()) return count.error();
-  if (m.chunk_size == 0 || m.total_bytes == 0 ||
-      count.value() != chunk_count_for(m.total_bytes, m.chunk_size)) {
-    return make_error("snapshot.bad_geometry",
-                      "chunk count inconsistent with total_bytes/chunk_size");
-  }
-  if (count.value() > r.remaining() / crypto::Digest{}.size()) {
-    return make_error("snapshot.bad_geometry", "chunk count exceeds payload");
-  }
-  m.chunk_digests.reserve(count.value());
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    crypto::Digest d;
-    if (auto s = read_digest(d); !s.ok()) return s.error();
-    m.chunk_digests.push_back(d);
-  }
-  if (!r.exhausted()) {
-    return make_error("snapshot.trailing_bytes", "manifest has trailing bytes");
-  }
-  return m;
+  m.height = r.i64();
+  r.require(m.height >= 0, "snapshot.bad_height", "negative height");
+  m.commitment = read_commitment_sections(r);
+  m.chunk_size = r.u32();
+  m.total_bytes = r.u64();
+  const std::size_t count =
+      r.count(SIZE_MAX, crypto::Digest{}.size(), "snapshot.bad_geometry");
+  r.require(m.chunk_size != 0 && m.total_bytes != 0 &&
+                count == chunk_count_for(m.total_bytes, m.chunk_size),
+            "snapshot.bad_geometry",
+            "chunk count inconsistent with total_bytes/chunk_size");
+  m.chunk_digests.resize(r.ok() ? count : 0);
+  for (auto& d : m.chunk_digests) r.fixed(d);
+  return r.finish(std::move(m), "snapshot.trailing_bytes",
+                  "manifest has trailing bytes");
 }
 
 Bytes encode_snapshot_payload(const LedgerState& state) {
@@ -206,122 +162,68 @@ Bytes encode_snapshot_payload(const LedgerState& state) {
   return w.take();
 }
 
-Result<LedgerState> decode_snapshot_payload(const Bytes& bytes) {
+Result<LedgerState> decode_snapshot_payload(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  const auto tag = r.str();
-  if (!tag.ok()) return tag.error();
-  if (tag.value() != kPayloadTag) {
-    return make_error("snapshot.bad_tag", "unknown snapshot format");
-  }
+  r.require(r.str() == kPayloadTag, "snapshot.bad_tag", "unknown snapshot format");
   LedgerState state;
 
-  const auto account_count = r.u64();
-  if (!account_count.ok()) return account_count.error();
-  if (account_count.value() > r.remaining() / kMinAccountEntry) {
-    return make_error("snapshot.bad_count", "account count exceeds payload");
-  }
-  std::uint64_t prev_addr = 0;
+  const std::size_t account_count =
+      r.count64(SIZE_MAX, kMinAccountEntry, "snapshot.bad_count");
   // Entries are validated into a sorted seed list and bulk-loaded in one
   // pass (LedgerState::load_accounts) — per-entry set_balance/set_nonce
   // round trips through the Merkle tree made install O(state)-rehash-bound.
   std::vector<std::pair<crypto::Address, Account>> seeds;
-  seeds.reserve(std::min<std::uint64_t>(account_count.value(), 1u << 20));
-  for (std::uint64_t i = 0; i < account_count.value(); ++i) {
-    const auto addr = r.u64();
-    if (!addr.ok()) return addr.error();
-    if (i != 0 && addr.value() <= prev_addr) {
-      return make_error("snapshot.bad_order", "account addresses not ascending");
-    }
-    prev_addr = addr.value();
-    const auto flags = r.u8();
-    if (!flags.ok()) return flags.error();
-    if (flags.value() > 1) {
-      return make_error("snapshot.bad_flags", "account flags not in {0,1}");
-    }
-    const bool has_balance = flags.value() == 1;
-    std::uint64_t balance = 0;
-    if (has_balance) {
-      const auto bal = r.u64();
-      if (!bal.ok()) return bal.error();
-      balance = bal.value();
-    }
-    const auto nonce = r.u64();
-    if (!nonce.ok()) return nonce.error();
-    if (!has_balance && nonce.value() == 0) {
-      // A leafless entry would be semantically inert — not canonical.
-      return make_error("snapshot.bad_entry", "entry carries no account leaf");
-    }
-    seeds.emplace_back(crypto::Address{addr.value()},
-                       Account{has_balance, balance, nonce.value()});
+  seeds.reserve(account_count);
+  for (std::size_t i = 0; i < account_count && r.ok(); ++i) {
+    const crypto::Address addr{r.u64()};
+    r.require(i == 0 || seeds.back().first < addr, "snapshot.bad_order",
+              "account addresses not ascending");
+    const std::uint8_t flags = r.u8();
+    r.require(flags <= 1, "snapshot.bad_flags", "account flags not in {0,1}");
+    Account acc;
+    acc.has_balance = flags == 1;
+    if (acc.has_balance) acc.balance = r.u64();
+    acc.nonce = r.u64();
+    // A leafless entry would be semantically inert — not canonical.
+    r.require(acc.has_balance || acc.nonce != 0, "snapshot.bad_entry",
+              "entry carries no account leaf");
+    seeds.emplace_back(addr, acc);
   }
-  state.load_accounts(seeds);
+  if (r.ok()) state.load_accounts(seeds);
 
-  const auto audit_count = r.u64();
-  if (!audit_count.ok()) return audit_count.error();
-  if (audit_count.value() > r.remaining() / kMinAuditEntry) {
-    return make_error("snapshot.bad_count", "audit count exceeds payload");
-  }
-  for (std::uint64_t i = 0; i < audit_count.value(); ++i) {
-    const auto collector = r.u64();
-    if (!collector.ok()) return collector.error();
-    const auto body_bytes = r.bytes();
-    if (!body_bytes.ok()) return body_bytes.error();
-    auto body = AuditRecordBody::decode(body_bytes.value());
-    if (!body.ok()) return body.error();
-    // AuditRecordBody::decode tolerates trailing bytes (it reads embedded
-    // framings elsewhere); the snapshot's framing is strict, so require the
-    // canonical re-encoding to reproduce the wire bytes exactly.
-    if (body.value().encode() != body_bytes.value()) {
-      return make_error("snapshot.bad_entry", "audit body not canonical");
-    }
-    const auto height = r.i64();
-    if (!height.ok()) return height.error();
-    state.append_audit(StoredAuditRecord{crypto::Address{collector.value()},
-                                         std::move(body).value(),
-                                         height.value()});
+  const std::size_t audit_count =
+      r.count64(SIZE_MAX, kMinAuditEntry, "snapshot.bad_count");
+  for (std::size_t i = 0; i < audit_count && r.ok(); ++i) {
+    const crypto::Address collector{r.u64()};
+    AuditRecordBody body = r.take(AuditRecordBody::decode(r.nested()));
+    const std::int64_t height = r.i64();
+    if (r.ok()) state.append_audit(StoredAuditRecord{collector, std::move(body), height});
   }
 
-  const auto contract_count = r.u32();
-  if (!contract_count.ok()) return contract_count.error();
-  if (contract_count.value() > r.remaining() / kMinContractEntry) {
-    return make_error("snapshot.bad_count", "contract count exceeds payload");
-  }
+  const std::size_t contract_count =
+      r.count(SIZE_MAX, kMinContractEntry, "snapshot.bad_count");
   std::string prev_name;
-  for (std::uint32_t i = 0; i < contract_count.value(); ++i) {
-    const auto name = r.str();
-    if (!name.ok()) return name.error();
-    if (i != 0 && name.value() <= prev_name) {
-      return make_error("snapshot.bad_order", "contract names not ascending");
-    }
-    prev_name = name.value();
-    state.materialize_store(name.value());
-    const auto entry_count = r.u64();
-    if (!entry_count.ok()) return entry_count.error();
-    if (entry_count.value() > r.remaining() / kMinStoreEntry) {
-      return make_error("snapshot.bad_count", "store entry count exceeds payload");
-    }
+  for (std::size_t i = 0; i < contract_count && r.ok(); ++i) {
+    std::string name = r.str();
+    r.require(i == 0 || name > prev_name, "snapshot.bad_order",
+              "contract names not ascending");
+    state.materialize_store(name);
+    const std::size_t entry_count =
+        r.count64(SIZE_MAX, kMinStoreEntry, "snapshot.bad_count");
     std::string prev_key;
-    for (std::uint64_t k = 0; k < entry_count.value(); ++k) {
-      const auto key = r.str();
-      if (!key.ok()) return key.error();
-      if (k != 0 && key.value() <= prev_key) {
-        return make_error("snapshot.bad_order", "store keys not ascending");
-      }
-      prev_key = key.value();
-      auto value = r.bytes();
-      if (!value.ok()) return value.error();
-      state.store_put(name.value(), key.value(), std::move(value).value());
+    for (std::size_t k = 0; k < entry_count && r.ok(); ++k) {
+      std::string key = r.str();
+      r.require(k == 0 || key > prev_key, "snapshot.bad_order",
+                "store keys not ascending");
+      state.store_put(name, key, r.bytes());
+      prev_key = std::move(key);
     }
+    prev_name = std::move(name);
   }
 
-  const auto burned = r.u64();
-  if (!burned.ok()) return burned.error();
-  state.add_burned_fees(burned.value());
-
-  if (!r.exhausted()) {
-    return make_error("snapshot.trailing_bytes", "payload has trailing bytes");
-  }
-  return state;
+  state.add_burned_fees(r.u64());
+  return r.finish(std::move(state), "snapshot.trailing_bytes",
+                  "payload has trailing bytes");
 }
 
 Snapshot build_snapshot(const LedgerState& state, std::int64_t height,

@@ -62,7 +62,8 @@ struct SnapshotManifest {
   /// Strict decode: version byte, chunk geometry consistency
   /// (chunk_count == ceil(total_bytes / chunk_size), both nonzero), and no
   /// trailing bytes. commitment.root is recombined from the sections.
-  [[nodiscard]] static Result<SnapshotManifest> decode(const Bytes& bytes);
+  [[nodiscard]] static Result<SnapshotManifest> decode(
+      std::span<const std::uint8_t> bytes);
 };
 
 /// Serialize `state` into the canonical "mv.snapshot.v1" payload.
@@ -72,7 +73,8 @@ struct SnapshotManifest {
 /// domain tag, strictly ascending account addresses / contract names / store
 /// keys, account flags in {0,1}, no leafless account entries (flags == 0 and
 /// nonce == 0), and full consumption of the buffer.
-[[nodiscard]] Result<LedgerState> decode_snapshot_payload(const Bytes& bytes);
+[[nodiscard]] Result<LedgerState> decode_snapshot_payload(
+    std::span<const std::uint8_t> bytes);
 
 /// A manifest plus its chunk payloads, ready to serve.
 struct Snapshot {

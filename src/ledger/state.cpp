@@ -74,16 +74,41 @@ crypto::Digest leaf_of(const Account& acc) {
 
 // Combine the root from the section digests (the commitment layout spec in
 // DESIGN.md §"State commitment" documents this byte order).
-crypto::Digest combine_commitment_root(const StateCommitment& c) {
-  crypto::HashWriter w;
-  w.str("mv.state.v2");
+namespace {
+/// The section fields in wire order, for any writer with the ByteWriter
+/// field interface (ByteWriter, HashWriter).
+template <typename Writer>
+void put_commitment_sections(Writer& w, const StateCommitment& c) {
   w.raw(c.accounts_root);
   w.u64(c.account_count);
   w.raw(c.audit_digest);
   w.u64(c.audit_count);
   w.raw(c.stores_digest);
   w.u64(c.burned_fees);
+}
+}  // namespace
+
+crypto::Digest combine_commitment_root(const StateCommitment& c) {
+  crypto::HashWriter w;
+  w.str("mv.state.v2");
+  put_commitment_sections(w, c);
   return w.digest();
+}
+
+void write_commitment_sections(ByteWriter& w, const StateCommitment& c) {
+  put_commitment_sections(w, c);
+}
+
+StateCommitment read_commitment_sections(ByteReader& r) {
+  StateCommitment c;
+  r.fixed(c.accounts_root);
+  c.account_count = r.u64();
+  r.fixed(c.audit_digest);
+  c.audit_count = r.u64();
+  r.fixed(c.stores_digest);
+  c.burned_fees = r.u64();
+  c.root = combine_commitment_root(c);
+  return c;
 }
 
 // ------------------------------------------------------------- LedgerView

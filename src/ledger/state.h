@@ -71,6 +71,14 @@ struct StateCommitment {
 /// this to check a served section breakdown against a header's state_root.
 [[nodiscard]] crypto::Digest combine_commitment_root(const StateCommitment& c);
 
+/// The section codec AccountProof and SnapshotManifest share: accounts_root,
+/// account_count, audit_digest, audit_count, stores_digest, burned_fees, in
+/// the order combine_commitment_root hashes them. The root is derived, never
+/// transported: the read recombines it, so served sections that disagree
+/// with a root cannot exist.
+void write_commitment_sections(ByteWriter& w, const StateCommitment& c);
+[[nodiscard]] StateCommitment read_commitment_sections(ByteReader& r);
+
 /// Digest of one account leaf as committed in the accounts MerkleMap:
 /// sha256(u8(has_balance) || u64(balance) || u64(nonce)). A leaf exists iff
 /// the account has a balance entry or a nonzero nonce. Exposed so account

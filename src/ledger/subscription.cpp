@@ -23,53 +23,28 @@ Bytes CommitPush::encode() const {
   return w.take();
 }
 
-Result<CommitPush> CommitPush::decode(const Bytes& bytes) {
+Result<CommitPush> CommitPush::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  const auto version = r.u32();
-  if (!version.ok()) return version.error();
-  if (version.value() != kCommitPushVersion) {
-    return make_error(errc::kSubBadVersion, "unknown CommitPush version " +
-                                                std::to_string(version.value()));
+  const std::uint32_t version = r.u32();
+  if (version != kCommitPushVersion) {
+    r.fail(errc::kSubBadVersion,
+           "unknown CommitPush version " + std::to_string(version));
   }
   CommitPush push;
-  auto header_bytes = r.bytes();
-  if (!header_bytes.ok()) return header_bytes.error();
-  auto header = BlockHeader::decode(header_bytes.value());
-  if (!header.ok()) return header.error();
-  push.header = std::move(header).value();
-  const auto n_proofs = r.u32();
-  if (!n_proofs.ok()) return n_proofs.error();
-  // Every element costs at least its 4-byte length prefix; a count beyond
-  // that is forged and must not drive a huge reserve().
-  if (n_proofs.value() > r.remaining() / 4) {
-    return make_error(errc::kSubBadPush, "proof count exceeds payload size");
+  push.header = r.take(BlockHeader::decode(r.nested()));
+  // Every element costs at least its 4-byte length prefix.
+  const std::size_t n_proofs = r.count(SIZE_MAX, 4, errc::kSubBadPush);
+  push.proofs.reserve(n_proofs);
+  for (std::size_t i = 0; i < n_proofs && r.ok(); ++i) {
+    push.proofs.push_back(r.take(AccountProof::decode(r.nested())));
   }
-  push.proofs.reserve(n_proofs.value());
-  for (std::uint32_t i = 0; i < n_proofs.value(); ++i) {
-    auto proof_bytes = r.bytes();
-    if (!proof_bytes.ok()) return proof_bytes.error();
-    auto proof = AccountProof::decode(proof_bytes.value());
-    if (!proof.ok()) return proof.error();
-    push.proofs.push_back(std::move(proof).value());
+  const std::size_t n_events = r.count(SIZE_MAX, 4, errc::kSubBadPush);
+  push.events.reserve(n_events);
+  for (std::size_t i = 0; i < n_events && r.ok(); ++i) {
+    std::string contract = r.str();
+    push.events.push_back(StoreEvent{std::move(contract), r.str()});
   }
-  const auto n_events = r.u32();
-  if (!n_events.ok()) return n_events.error();
-  if (n_events.value() > r.remaining() / 4) {
-    return make_error(errc::kSubBadPush, "event count exceeds payload size");
-  }
-  push.events.reserve(n_events.value());
-  for (std::uint32_t i = 0; i < n_events.value(); ++i) {
-    auto contract = r.str();
-    if (!contract.ok()) return contract.error();
-    auto key = r.str();
-    if (!key.ok()) return key.error();
-    push.events.push_back(
-        StoreEvent{std::move(contract).value(), std::move(key).value()});
-  }
-  if (!r.exhausted()) {
-    return make_error(errc::kSubBadPush, "unparsed trailing data");
-  }
-  return push;
+  return r.finish(std::move(push), errc::kSubBadPush, "unparsed trailing data");
 }
 
 // -------------------------------------------------- SubscriptionPublisher

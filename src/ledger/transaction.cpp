@@ -9,13 +9,12 @@ Bytes TransferBody::encode() const {
   return w.take();
 }
 
-Result<TransferBody> TransferBody::decode(const Bytes& bytes) {
+Result<TransferBody> TransferBody::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  auto to = r.u64();
-  if (!to.ok()) return to.error();
-  auto amount = r.u64();
-  if (!amount.ok()) return amount.error();
-  return TransferBody{crypto::Address{to.value()}, amount.value()};
+  TransferBody body;
+  body.to.value = r.u64();
+  body.amount = r.u64();
+  return r.finish(body, errc::kTxTrailingBytes, "unparsed trailing payload");
 }
 
 Bytes AuditRecordBody::encode() const {
@@ -27,18 +26,15 @@ Bytes AuditRecordBody::encode() const {
   return w.take();
 }
 
-Result<AuditRecordBody> AuditRecordBody::decode(const Bytes& bytes) {
+Result<AuditRecordBody> AuditRecordBody::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
-  auto category = r.str();
-  if (!category.ok()) return category.error();
-  auto purpose = r.str();
-  if (!purpose.ok()) return purpose.error();
-  auto subject = r.u64();
-  if (!subject.ok()) return subject.error();
-  auto pet = r.str();
-  if (!pet.ok()) return pet.error();
-  return AuditRecordBody{category.value(), purpose.value(), subject.value(),
-                         pet.value()};
+  AuditRecordBody body;
+  body.data_category = r.str();
+  body.purpose = r.str();
+  body.subject = r.u64();
+  body.pet_applied = r.str();
+  return r.finish(std::move(body), errc::kTxTrailingBytes,
+                  "unparsed trailing payload");
 }
 
 namespace {
@@ -79,42 +75,22 @@ Bytes Transaction::encode() const {
   return w.take();
 }
 
-Result<Transaction> Transaction::decode(const Bytes& bytes) {
+Result<Transaction> Transaction::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   Transaction tx;
-  auto pub = r.u64();
-  if (!pub.ok()) return pub.error();
-  tx.sender_pub.y = pub.value();
-  auto nonce = r.u64();
-  if (!nonce.ok()) return nonce.error();
-  tx.nonce = nonce.value();
-  auto kind = r.u8();
-  if (!kind.ok()) return kind.error();
-  if (kind.value() > static_cast<std::uint8_t>(TxKind::kContractCall)) {
-    return make_error("tx.bad_kind", "unknown transaction kind");
-  }
-  tx.kind = static_cast<TxKind>(kind.value());
-  auto contract = r.str();
-  if (!contract.ok()) return contract.error();
-  tx.contract = contract.value();
-  auto method = r.str();
-  if (!method.ok()) return method.error();
-  tx.method = method.value();
-  auto payload = r.bytes();
-  if (!payload.ok()) return payload.error();
-  tx.payload = payload.value();
-  auto fee = r.u64();
-  if (!fee.ok()) return fee.error();
-  tx.fee = fee.value();
-  auto e = r.u64();
-  if (!e.ok()) return e.error();
-  auto s = r.u64();
-  if (!s.ok()) return s.error();
-  tx.sig = crypto::Signature{e.value(), s.value()};
-  if (!r.exhausted()) {
-    return make_error("tx.trailing_bytes", "unparsed trailing data");
-  }
-  return tx;
+  tx.sender_pub.y = r.u64();
+  tx.nonce = r.u64();
+  const std::uint8_t kind = r.u8();
+  r.require(kind <= static_cast<std::uint8_t>(TxKind::kContractCall),
+            errc::kTxBadKind, "unknown transaction kind");
+  tx.kind = static_cast<TxKind>(kind);
+  tx.contract = r.str();
+  tx.method = r.str();
+  tx.payload = r.bytes();
+  tx.fee = r.u64();
+  tx.sig.e = r.u64();
+  tx.sig.s = r.u64();
+  return r.finish(std::move(tx), errc::kTxTrailingBytes, "unparsed trailing data");
 }
 
 crypto::Digest Transaction::digest() const {

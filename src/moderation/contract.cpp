@@ -14,13 +14,6 @@ Bytes enc_u64(std::uint64_t v) {
   return w.take();
 }
 
-std::uint64_t dec_u64(const Bytes* b, std::uint64_t fallback = 0) {
-  if (b == nullptr) return fallback;
-  ByteReader r(*b);
-  auto v = r.u64();
-  return v.ok() ? v.value() : fallback;
-}
-
 /// Stored record: reporter || offender || kind || filed_height || status.
 /// (The free-form detail string is hashed into the record key space only via
 /// the transaction itself; the store keeps the adjudicable facts.)
@@ -37,20 +30,13 @@ Bytes encode_record(const ModerationContract::ReportView& v) {
 std::optional<ModerationContract::ReportView> decode_record(const Bytes& bytes) {
   ByteReader r(bytes);
   ModerationContract::ReportView v;
-  auto reporter = r.u64();
-  auto offender = r.u64();
-  auto kind = r.u8();
-  auto height = r.i64();
-  auto status = r.u8();
-  if (!reporter.ok() || !offender.ok() || !kind.ok() || !height.ok() ||
-      !status.ok() || status.value() > 2) {
-    return std::nullopt;
-  }
-  v.reporter = crypto::Address{reporter.value()};
-  v.offender = crypto::Address{offender.value()};
-  v.kind = kind.value();
-  v.filed_height = height.value();
-  v.status = static_cast<ReportStatus>(status.value());
+  v.reporter.value = r.u64();
+  v.offender.value = r.u64();
+  v.kind = r.u8();
+  v.filed_height = r.i64();
+  const std::uint8_t status = r.u8();
+  if (!r.ok() || status > 2) return std::nullopt;
+  v.status = static_cast<ReportStatus>(status);
   return v;
 }
 
@@ -67,27 +53,26 @@ Status ModerationContract::call(ledger::CallContext& ctx,
 Status ModerationContract::do_report(ledger::CallContext& ctx,
                                      const Bytes& args) const {
   ByteReader r(args);
-  auto offender = r.u64();
-  auto kind = r.u8();
-  auto detail = r.str();
-  if (!offender.ok() || !kind.ok() || !detail.ok() || offender.value() == 0 ||
-      kind.value() > config_.max_kind) {
+  const std::uint64_t offender = r.u64();
+  const std::uint8_t kind = r.u8();
+  (void)r.nested();  // detail: checked for framing, not stored
+  if (!r.ok() || offender == 0 || kind > config_.max_kind) {
     return Status::fail(errc::kModBadArgs,
                         "report(offender: address, kind: u8, detail: str)");
   }
-  if (offender.value() == ctx.caller().value) {
+  if (offender == ctx.caller().value) {
     return Status::fail(errc::kModSelfReport, "cannot report yourself");
   }
-  const std::uint64_t id = dec_u64(ctx.get("next_id"));
+  const std::uint64_t id = leading_u64(ctx.get("next_id"));
   ctx.put("next_id", enc_u64(id + 1));
   ReportView v;
   v.reporter = ctx.caller();
-  v.offender = crypto::Address{offender.value()};
-  v.kind = kind.value();
+  v.offender = crypto::Address{offender};
+  v.kind = kind;
   v.filed_height = ctx.height();
   v.status = ReportStatus::kOpen;
   ctx.put(report_key(id), encode_record(v));
-  ctx.put("open_count", enc_u64(dec_u64(ctx.get("open_count")) + 1));
+  ctx.put("open_count", enc_u64(leading_u64(ctx.get("open_count")) + 1));
   return {};
 }
 
@@ -98,12 +83,12 @@ Status ModerationContract::do_resolve(ledger::CallContext& ctx,
                         "resolve is restricted to the moderator identity");
   }
   ByteReader r(args);
-  auto id = r.u64();
-  auto uphold = r.u8();
-  if (!id.ok() || !uphold.ok() || uphold.value() > 1) {
+  const std::uint64_t id = r.u64();
+  const std::uint8_t uphold = r.u8();
+  if (!r.ok() || uphold > 1) {
     return Status::fail(errc::kModBadArgs, "resolve(id: u64, uphold: 0|1)");
   }
-  const Bytes* record = ctx.get(report_key(id.value()));
+  const Bytes* record = ctx.get(report_key(id));
   if (record == nullptr) {
     return Status::fail(errc::kModNoSuchReport, "unknown report");
   }
@@ -111,12 +96,11 @@ Status ModerationContract::do_resolve(ledger::CallContext& ctx,
   if (!view.has_value() || view->status != ReportStatus::kOpen) {
     return Status::fail(errc::kModAlreadyResolved, "report closed");
   }
-  view->status = uphold.value() != 0 ? ReportStatus::kUpheld
-                                     : ReportStatus::kDismissed;
-  ctx.put(report_key(id.value()), encode_record(*view));
-  ctx.put("open_count", enc_u64(dec_u64(ctx.get("open_count")) - 1));
-  if (uphold.value() != 0) {
-    ctx.put("upheld_count", enc_u64(dec_u64(ctx.get("upheld_count")) + 1));
+  view->status = uphold != 0 ? ReportStatus::kUpheld : ReportStatus::kDismissed;
+  ctx.put(report_key(id), encode_record(*view));
+  ctx.put("open_count", enc_u64(leading_u64(ctx.get("open_count")) - 1));
+  if (uphold != 0) {
+    ctx.put("upheld_count", enc_u64(leading_u64(ctx.get("upheld_count")) + 1));
   }
   return {};
 }
@@ -126,7 +110,7 @@ std::uint64_t ModerationContract::report_count(const ledger::LedgerState& state,
   const auto* store = state.find_store(contract);
   if (store == nullptr) return 0;
   const auto it = store->find("next_id");
-  return it == store->end() ? 0 : dec_u64(&it->second);
+  return it == store->end() ? 0 : leading_u64(&it->second);
 }
 
 std::uint64_t ModerationContract::open_count(const ledger::LedgerState& state,
@@ -134,7 +118,7 @@ std::uint64_t ModerationContract::open_count(const ledger::LedgerState& state,
   const auto* store = state.find_store(contract);
   if (store == nullptr) return 0;
   const auto it = store->find("open_count");
-  return it == store->end() ? 0 : dec_u64(&it->second);
+  return it == store->end() ? 0 : leading_u64(&it->second);
 }
 
 std::uint64_t ModerationContract::upheld_count(const ledger::LedgerState& state,
@@ -142,7 +126,7 @@ std::uint64_t ModerationContract::upheld_count(const ledger::LedgerState& state,
   const auto* store = state.find_store(contract);
   if (store == nullptr) return 0;
   const auto it = store->find("upheld_count");
-  return it == store->end() ? 0 : dec_u64(&it->second);
+  return it == store->end() ? 0 : leading_u64(&it->second);
 }
 
 Result<ModerationContract::ReportView> ModerationContract::report(

@@ -76,14 +76,15 @@ void Gossip::on_message(const Message& msg) {
     relay(msg.to, msg.payload_buf, std::nullopt);
     return;
   }
-  ByteReader reader(msg.payload());
-  const auto shard = reader.u32();
-  if (!shard.ok()) return;  // malformed frame: drop, don't relay
-  if (interested(msg.to, shard.value())) {
-    const auto inner = reader.raw(reader.remaining());
-    deliver_(msg.to, inner.value());
+  const Bytes& payload = msg.payload();
+  ByteReader reader(payload);
+  const std::uint32_t shard = reader.u32();
+  if (!reader.ok()) return;  // malformed frame: drop, don't relay
+  if (interested(msg.to, shard)) {
+    const auto inner = std::span(payload).last(reader.remaining());
+    deliver_(msg.to, Bytes(inner.begin(), inner.end()));
   }
-  relay(msg.to, msg.payload_buf, shard.value());
+  relay(msg.to, msg.payload_buf, shard);
 }
 
 void Gossip::relay(NodeId from, const std::shared_ptr<const Bytes>& payload,

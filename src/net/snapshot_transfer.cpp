@@ -17,11 +17,11 @@ Bytes encode_height_req(std::int64_t height) {
   return w.take();
 }
 
-std::optional<std::int64_t> decode_height_req(const Bytes& payload) {
+std::optional<std::int64_t> decode_height_req(std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
-  const auto height = r.i64();
-  if (!height.ok() || !r.exhausted()) return std::nullopt;
-  return height.value();
+  const std::int64_t height = r.i64();
+  if (!r.finish().ok()) return std::nullopt;
+  return height;
 }
 
 struct ChunkReq {
@@ -36,12 +36,13 @@ Bytes encode_chunk_req(const ChunkReq& req) {
   return w.take();
 }
 
-std::optional<ChunkReq> decode_chunk_req(const Bytes& payload) {
+std::optional<ChunkReq> decode_chunk_req(std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
-  const auto height = r.i64();
-  const auto index = r.u32();
-  if (!height.ok() || !index.ok() || !r.exhausted()) return std::nullopt;
-  return ChunkReq{height.value(), index.value()};
+  ChunkReq req;
+  req.height = r.i64();
+  req.index = r.u32();
+  if (!r.finish().ok()) return std::nullopt;
+  return req;
 }
 
 // Response status byte. kBusy is the chunk path's explicit load-shed NACK:
@@ -70,23 +71,16 @@ Bytes encode_resp(const Resp& resp, bool with_index) {
   return w.take();
 }
 
-std::optional<Resp> decode_resp(const Bytes& payload, bool with_index) {
+std::optional<Resp> decode_resp(std::span<const std::uint8_t> payload,
+                                bool with_index) {
   ByteReader r(payload);
   Resp resp;
-  const auto height = r.i64();
-  if (!height.ok()) return std::nullopt;
-  resp.height = height.value();
-  if (with_index) {
-    const auto index = r.u32();
-    if (!index.ok()) return std::nullopt;
-    resp.index = index.value();
-  }
-  const auto status = r.u8();
-  if (!status.ok() || status.value() > kRespBusy) return std::nullopt;
-  resp.status = status.value();
-  auto data = r.bytes();
-  if (!data.ok() || !r.exhausted()) return std::nullopt;
-  resp.data = std::move(data).value();
+  resp.height = r.i64();
+  if (with_index) resp.index = r.u32();
+  resp.status = r.u8();
+  r.require(resp.status <= kRespBusy, "snapshot.bad_status", "unknown status");
+  resp.data = r.bytes();
+  if (!r.finish().ok()) return std::nullopt;
   return resp;
 }
 

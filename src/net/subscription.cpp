@@ -20,37 +20,19 @@ Bytes SubscriptionRequest::encode() const {
 }
 
 std::optional<SubscriptionRequest> SubscriptionRequest::decode(
-    const Bytes& payload) {
+    std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
   SubscriptionRequest req;
-  const auto version = r.u32();
-  const auto from = r.i64();
-  const auto headers = r.u8();
-  if (!version.ok() || !from.ok() || !headers.ok() || headers.value() > 1) {
-    return std::nullopt;
-  }
-  req.version = version.value();
-  req.from_height = from.value();
-  req.headers = headers.value() == 1;
-  const auto n_accounts = r.u32();
-  // Each declared element costs at least one wire byte; a count beyond the
-  // remaining payload is a forged length, rejected before any allocation.
-  if (!n_accounts.ok() || n_accounts.value() > r.remaining()) return std::nullopt;
-  req.accounts.reserve(n_accounts.value());
-  for (std::uint32_t i = 0; i < n_accounts.value(); ++i) {
-    const auto a = r.u64();
-    if (!a.ok()) return std::nullopt;
-    req.accounts.push_back(a.value());
-  }
-  const auto n_stores = r.u32();
-  if (!n_stores.ok() || n_stores.value() > r.remaining()) return std::nullopt;
-  req.stores.reserve(n_stores.value());
-  for (std::uint32_t i = 0; i < n_stores.value(); ++i) {
-    auto s = r.str();
-    if (!s.ok()) return std::nullopt;
-    req.stores.push_back(std::move(s).value());
-  }
-  if (!r.exhausted()) return std::nullopt;
+  req.version = r.u32();
+  req.from_height = r.i64();
+  const std::uint8_t headers = r.u8();
+  r.require(headers <= 1, "sub.bad_request", "headers flag not in {0,1}");
+  req.headers = headers == 1;
+  req.accounts.resize(r.count(SIZE_MAX, 8, "sub.bad_request"));
+  for (auto& account : req.accounts) account = r.u64();
+  req.stores.resize(r.count(SIZE_MAX, 4, "sub.bad_request"));
+  for (auto& store : req.stores) store = r.str();
+  if (!r.finish().ok()) return std::nullopt;
   return req;
 }
 
@@ -64,21 +46,14 @@ Bytes SubscriptionResponse::encode() const {
 }
 
 std::optional<SubscriptionResponse> SubscriptionResponse::decode(
-    const Bytes& payload) {
+    std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
   SubscriptionResponse resp;
-  const auto version = r.u32();
-  auto code = r.str();
-  const auto earliest = r.i64();
-  const auto tip = r.i64();
-  if (!version.ok() || !code.ok() || !earliest.ok() || !tip.ok() ||
-      !r.exhausted()) {
-    return std::nullopt;
-  }
-  resp.version = version.value();
-  resp.code = std::move(code).value();
-  resp.earliest = earliest.value();
-  resp.tip = tip.value();
+  resp.version = r.u32();
+  resp.code = r.str();
+  resp.earliest = r.i64();
+  resp.tip = r.i64();
+  if (!r.finish().ok()) return std::nullopt;
   return resp;
 }
 
@@ -90,11 +65,11 @@ Bytes encode_ack(std::int64_t height) {
   return w.take();
 }
 
-std::optional<std::int64_t> decode_ack(const Bytes& payload) {
+std::optional<std::int64_t> decode_ack(std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
-  const auto height = r.i64();
-  if (!height.ok() || !r.exhausted()) return std::nullopt;
-  return height.value();
+  const std::int64_t height = r.i64();
+  if (!r.finish().ok()) return std::nullopt;
+  return height;
 }
 
 }  // namespace

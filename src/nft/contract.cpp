@@ -26,17 +26,11 @@ Bytes enc_str(const std::string& s) {
   return w.take();
 }
 
-std::uint64_t dec_u64(const Bytes* b, std::uint64_t fallback = 0) {
-  if (b == nullptr) return fallback;
-  ByteReader r(*b);
-  auto v = r.u64();
-  return v.ok() ? v.value() : fallback;
-}
 std::uint32_t dec_u32(const Bytes* b, std::uint32_t fallback = 0) {
   if (b == nullptr) return fallback;
   ByteReader r(*b);
-  auto v = r.u32();
-  return v.ok() ? v.value() : fallback;
+  const std::uint32_t v = r.u32();
+  return r.ok() ? v : fallback;
 }
 
 constexpr std::uint32_t kMaxRoyaltyBps = 5000;  // 50% cap
@@ -55,87 +49,87 @@ Status NftContract::call(ledger::CallContext& ctx, const std::string& method,
 
 Status NftContract::do_mint(ledger::CallContext& ctx, const Bytes& args) const {
   ByteReader r(args);
-  auto uri = r.str();
-  auto royalty = r.u32();
-  if (!uri.ok() || !royalty.ok()) {
+  const std::string uri = r.str();
+  const std::uint32_t royalty = r.u32();
+  if (!r.ok()) {
     return Status::fail(errc::kNftBadArgs, "mint(uri: str, royalty_bps: u32)");
   }
-  if (royalty.value() > kMaxRoyaltyBps) {
+  if (royalty > kMaxRoyaltyBps) {
     return Status::fail(errc::kNftRoyaltyTooHigh, "royalty above 50%");
   }
-  const std::uint64_t id = dec_u64(ctx.get("next_token"));
+  const std::uint64_t id = leading_u64(ctx.get("next_token"));
   ctx.put("next_token", enc_u64(id + 1));
   ctx.put(owner_key(id), enc_u64(ctx.caller().value));
   ctx.put(creator_key(id), enc_u64(ctx.caller().value));
-  ctx.put(uri_key(id), enc_str(uri.value()));
-  ctx.put(royalty_key(id), enc_u32(royalty.value()));
+  ctx.put(uri_key(id), enc_str(uri));
+  ctx.put(royalty_key(id), enc_u32(royalty));
   return {};
 }
 
 Status NftContract::do_transfer(ledger::CallContext& ctx, const Bytes& args) const {
   ByteReader r(args);
-  auto token = r.u64();
-  auto to = r.u64();
-  if (!token.ok() || !to.ok() || to.value() == 0) {
+  const std::uint64_t token = r.u64();
+  const std::uint64_t to = r.u64();
+  if (!r.ok() || to == 0) {
     return Status::fail(errc::kNftBadArgs, "transfer(token: u64, to: address)");
   }
-  const Bytes* owner = ctx.get(owner_key(token.value()));
+  const Bytes* owner = ctx.get(owner_key(token));
   if (owner == nullptr) return Status::fail(errc::kNftNoSuchToken, "unknown token");
-  if (dec_u64(owner) != ctx.caller().value) {
+  if (leading_u64(owner) != ctx.caller().value) {
     return Status::fail(errc::kNftNotOwner, "caller does not own the token");
   }
-  if (ctx.get(listing_key(token.value())) != nullptr) {
+  if (ctx.get(listing_key(token)) != nullptr) {
     return Status::fail(errc::kNftListed, "cancel the listing before transferring");
   }
-  ctx.put(owner_key(token.value()), enc_u64(to.value()));
+  ctx.put(owner_key(token), enc_u64(to));
   return {};
 }
 
 Status NftContract::do_list(ledger::CallContext& ctx, const Bytes& args) const {
   ByteReader r(args);
-  auto token = r.u64();
-  auto price = r.u64();
-  if (!token.ok() || !price.ok() || price.value() == 0) {
+  const std::uint64_t token = r.u64();
+  const std::uint64_t price = r.u64();
+  if (!r.ok() || price == 0) {
     return Status::fail(errc::kNftBadArgs, "list(token: u64, price: u64 > 0)");
   }
-  const Bytes* owner = ctx.get(owner_key(token.value()));
+  const Bytes* owner = ctx.get(owner_key(token));
   if (owner == nullptr) return Status::fail(errc::kNftNoSuchToken, "unknown token");
-  if (dec_u64(owner) != ctx.caller().value) {
+  if (leading_u64(owner) != ctx.caller().value) {
     return Status::fail(errc::kNftNotOwner, "caller does not own the token");
   }
-  ctx.put(listing_key(token.value()), enc_u64(price.value()));
+  ctx.put(listing_key(token), enc_u64(price));
   return {};
 }
 
 Status NftContract::do_cancel(ledger::CallContext& ctx, const Bytes& args) const {
   ByteReader r(args);
-  auto token = r.u64();
-  if (!token.ok()) return Status::fail(errc::kNftBadArgs, "cancel(token: u64)");
-  const Bytes* owner = ctx.get(owner_key(token.value()));
+  const std::uint64_t token = r.u64();
+  if (!r.ok()) return Status::fail(errc::kNftBadArgs, "cancel(token: u64)");
+  const Bytes* owner = ctx.get(owner_key(token));
   if (owner == nullptr) return Status::fail(errc::kNftNoSuchToken, "unknown token");
-  if (dec_u64(owner) != ctx.caller().value) {
+  if (leading_u64(owner) != ctx.caller().value) {
     return Status::fail(errc::kNftNotOwner, "caller does not own the token");
   }
-  if (ctx.get(listing_key(token.value())) == nullptr) {
+  if (ctx.get(listing_key(token)) == nullptr) {
     return Status::fail(errc::kNftNotListed, "no open listing");
   }
-  ctx.erase(listing_key(token.value()));
+  ctx.erase(listing_key(token));
   return {};
 }
 
 Status NftContract::do_buy(ledger::CallContext& ctx, const Bytes& args) const {
   ByteReader r(args);
-  auto token = r.u64();
-  if (!token.ok()) return Status::fail(errc::kNftBadArgs, "buy(token: u64)");
-  const Bytes* listing = ctx.get(listing_key(token.value()));
+  const std::uint64_t token = r.u64();
+  if (!r.ok()) return Status::fail(errc::kNftBadArgs, "buy(token: u64)");
+  const Bytes* listing = ctx.get(listing_key(token));
   if (listing == nullptr) return Status::fail(errc::kNftNotListed, "no open listing");
-  const std::uint64_t price = dec_u64(listing);
-  const crypto::Address seller{dec_u64(ctx.get(owner_key(token.value())))};
-  const crypto::Address creator{dec_u64(ctx.get(creator_key(token.value())))};
+  const std::uint64_t price = leading_u64(listing);
+  const crypto::Address seller{leading_u64(ctx.get(owner_key(token)))};
+  const crypto::Address creator{leading_u64(ctx.get(creator_key(token)))};
   if (seller == ctx.caller()) {
     return Status::fail(errc::kNftSelfPurchase, "cannot buy your own listing");
   }
-  const std::uint32_t royalty_bps = dec_u32(ctx.get(royalty_key(token.value())));
+  const std::uint32_t royalty_bps = dec_u32(ctx.get(royalty_key(token)));
   const std::uint64_t royalty =
       price * royalty_bps / 10000;  // creator share of every sale
   const std::uint64_t seller_cut = price - royalty;
@@ -143,8 +137,8 @@ Status NftContract::do_buy(ledger::CallContext& ctx, const Bytes& args) const {
   if (royalty > 0) {
     if (auto s = ctx.transfer(ctx.caller(), creator, royalty); !s.ok()) return s;
   }
-  ctx.put(owner_key(token.value()), enc_u64(ctx.caller().value));
-  ctx.erase(listing_key(token.value()));
+  ctx.put(owner_key(token), enc_u64(ctx.caller().value));
+  ctx.erase(listing_key(token));
   return {};
 }
 
@@ -152,7 +146,7 @@ std::uint64_t NftContract::token_count(const ledger::LedgerState& state) {
   const auto* store = state.find_store("nft");
   if (store == nullptr) return 0;
   const auto it = store->find("next_token");
-  return it == store->end() ? 0 : dec_u64(&it->second);
+  return it == store->end() ? 0 : leading_u64(&it->second);
 }
 
 Result<NftContract::TokenView> NftContract::token(
@@ -162,13 +156,14 @@ Result<NftContract::TokenView> NftContract::token(
   const auto owner = store->find(owner_key(id));
   if (owner == store->end()) return make_error(errc::kNftNoSuchToken, "unknown token");
   TokenView view;
-  view.owner = crypto::Address{dec_u64(&owner->second)};
+  view.owner = crypto::Address{leading_u64(&owner->second)};
   if (const auto it = store->find(creator_key(id)); it != store->end()) {
-    view.creator = crypto::Address{dec_u64(&it->second)};
+    view.creator = crypto::Address{leading_u64(&it->second)};
   }
   if (const auto it = store->find(uri_key(id)); it != store->end()) {
     ByteReader r(it->second);
-    if (auto s = r.str(); s.ok()) view.uri = s.value();
+    std::string uri = r.str();
+    if (r.ok()) view.uri = std::move(uri);
   }
   if (const auto it = store->find(royalty_key(id)); it != store->end()) {
     view.royalty_bps = dec_u32(&it->second);
@@ -181,7 +176,7 @@ std::uint64_t NftContract::listing_price(const ledger::LedgerState& state,
   const auto* store = state.find_store("nft");
   if (store == nullptr) return 0;
   const auto it = store->find(listing_key(id));
-  return it == store->end() ? 0 : dec_u64(&it->second);
+  return it == store->end() ? 0 : leading_u64(&it->second);
 }
 
 std::vector<std::uint64_t> NftContract::tokens_of(

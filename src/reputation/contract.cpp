@@ -19,11 +19,8 @@ Bytes enc_i64(std::int64_t v) {
   return w.take();
 }
 
-std::int64_t dec_i64(const Bytes* b, std::int64_t fallback = 0) {
-  if (b == nullptr) return fallback;
-  ByteReader r(*b);
-  auto v = r.i64();
-  return v.ok() ? v.value() : fallback;
+std::int64_t dec_i64(const Bytes* b) {
+  return static_cast<std::int64_t>(leading_u64(b));
 }
 
 }  // namespace
@@ -38,22 +35,20 @@ Status ReputationContract::call(ledger::CallContext& ctx,
 Status ReputationContract::do_rate(ledger::CallContext& ctx,
                                    const Bytes& args) const {
   ByteReader r(args);
-  auto subject = r.u64();
-  auto delta = r.i64();
-  if (!subject.ok() || !delta.ok() || subject.value() == 0 ||
-      delta.value() == 0) {
+  const std::uint64_t subject = r.u64();
+  const std::int64_t d = r.i64();
+  if (!r.ok() || subject == 0 || d == 0) {
     return Status::fail(errc::kRepBadArgs, "rate(subject: address, delta: i64)");
   }
-  if (subject.value() == ctx.caller().value) {
+  if (subject == ctx.caller().value) {
     return Status::fail(errc::kRepSelfRating, "cannot rate yourself");
   }
-  const std::int64_t d = delta.value();
   if (d > config_.max_abs_delta || d < -config_.max_abs_delta) {
     return Status::fail(errc::kRepDeltaTooLarge,
                         "|delta| above " + std::to_string(config_.max_abs_delta));
   }
   if (config_.cooldown_blocks > 0) {
-    const std::string lk = last_key(ctx.caller().value, subject.value());
+    const std::string lk = last_key(ctx.caller().value, subject);
     if (const Bytes* last = ctx.get(lk); last != nullptr) {
       const std::int64_t since = ctx.height() - dec_i64(last);
       if (since < config_.cooldown_blocks) {
@@ -63,7 +58,7 @@ Status ReputationContract::do_rate(ledger::CallContext& ctx,
     }
     ctx.put(lk, enc_i64(ctx.height()));
   }
-  const std::string sk = score_key(subject.value());
+  const std::string sk = score_key(subject);
   const std::int64_t updated = std::clamp(dec_i64(ctx.get(sk)) + d,
                                           config_.min_score, config_.max_score);
   ctx.put(sk, enc_i64(updated));

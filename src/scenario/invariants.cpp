@@ -10,18 +10,6 @@ namespace mv::scenario {
 
 namespace {
 
-std::uint64_t dec_u64(const Bytes& b) {
-  ByteReader r(b);
-  auto v = r.u64();
-  return v.ok() ? v.value() : 0;
-}
-
-std::int64_t dec_i64(const Bytes& b) {
-  ByteReader r(b);
-  auto v = r.i64();
-  return v.ok() ? v.value() : 0;
-}
-
 bool starts_with(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
 }
@@ -58,7 +46,7 @@ void check_nft(const ledger::LedgerState& state, const InvariantOptions& opts,
       if (store->find("token/" + id + "/owner") == store->end()) {
         out.push_back("nft: listing for nonexistent token " + id);
       }
-      if (dec_u64(value) == 0) {
+      if (leading_u64(&value) == 0) {
         out.push_back("nft: zero-price listing for token " + id);
       }
     }
@@ -111,7 +99,7 @@ void check_reputation(const ledger::LedgerState& state,
   if (store == nullptr) return;
   for (const auto& [key, value] : *store) {
     if (!starts_with(key, "score/")) continue;
-    const std::int64_t score = dec_i64(value);
+    const std::int64_t score = static_cast<std::int64_t>(leading_u64(&value));
     if (score < opts.rep_min || score > opts.rep_max) {
       out.push_back("reputation: " + key + " = " + std::to_string(score) +
                     " outside [" + std::to_string(opts.rep_min) + ", " +
@@ -201,7 +189,7 @@ std::vector<std::string> check_sharded_invariants(
     if (store == nullptr) continue;
     const auto fetch = [&](const char* key) {
       const auto it = store->find(key);
-      return it == store->end() ? 0 : dec_u64(it->second);
+      return it == store->end() ? 0 : leading_u64(&it->second);
     };
     locked_by[s] = fetch(ledger::kXShardLockedTotalKey);
     const std::uint64_t next_id = fetch(ledger::kXShardNextIdKey);
@@ -239,7 +227,7 @@ std::vector<std::string> check_sharded_invariants(
           out.push_back("xshard: spent marker with bad source shard: " + key);
           continue;
         }
-        minted_from[src] += dec_u64(value);
+        minted_from[src] += leading_u64(&value);
         const auto* src_store =
             ledger.state(static_cast<std::uint32_t>(src))
                 .find_store(ledger::kXShardContractName);
@@ -254,7 +242,7 @@ std::vector<std::string> check_sharded_invariants(
         }
         const auto receipt = ledger::CrossShardReceipt::decode(rit->second);
         if (!receipt.ok() || receipt.value().dest_shard != s ||
-            receipt.value().amount != dec_u64(value)) {
+            receipt.value().amount != leading_u64(&value)) {
           out.push_back("xshard: spent marker disagrees with receipt: " + key);
         }
       }

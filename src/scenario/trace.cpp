@@ -20,14 +20,6 @@ crypto::Digest body_checksum(std::span<const std::uint8_t> body) {
   return h.finalize();
 }
 
-Result<crypto::Digest> read_digest(ByteReader& r) {
-  auto raw = r.raw(32);
-  if (!raw.ok()) return make_error(errc::kTraceTruncated, "digest");
-  crypto::Digest d;
-  std::copy(raw.value().begin(), raw.value().end(), d.begin());
-  return d;
-}
-
 }  // namespace
 
 std::size_t Trace::total_txs() const {
@@ -57,7 +49,7 @@ Bytes Trace::encode() const {
   return w.take();
 }
 
-Result<Trace> Trace::decode(const Bytes& bytes) {
+Result<Trace> Trace::decode(std::span<const std::uint8_t> bytes) {
   // The checksum covers everything before it, so it is verified first: any
   // mutated byte — header, tx payload, recorded root, or the checksum itself
   // — fails here before a single field is interpreted.
@@ -65,77 +57,45 @@ Result<Trace> Trace::decode(const Bytes& bytes) {
     return make_error(errc::kTraceTruncated,
                       "trace shorter than checksum + version");
   }
-  const std::span<const std::uint8_t> body(bytes.data(), bytes.size() - 32);
+  const auto body = bytes.first(bytes.size() - 32);
   const crypto::Digest want = body_checksum(body);
   if (!std::equal(want.begin(), want.end(), bytes.end() - 32)) {
     return make_error(errc::kTraceBadChecksum, "integrity digest mismatch");
   }
 
-  ByteReader r(body);
-  auto version = r.u32();
-  if (!version.ok()) return make_error(errc::kTraceTruncated, "version");
-  if (version.value() != kTraceVersion) {
-    return make_error(errc::kTraceBadVersion,
-                      "trace version " + std::to_string(version.value()));
+  ByteReader r(body, errc::kTraceTruncated);
+  const std::uint32_t version = r.u32();
+  if (version != kTraceVersion) {
+    r.fail(errc::kTraceBadVersion, "trace version " + std::to_string(version));
   }
   Trace trace;
-  auto scenario = r.str();
-  auto seed = r.u64();
-  auto avatars = r.u64();
-  auto validators = r.u32();
-  auto grant = r.u64();
-  auto max_txs = r.u32();
-  if (!scenario.ok() || !seed.ok() || !avatars.ok() || !validators.ok() ||
-      !grant.ok() || !max_txs.ok()) {
-    return make_error(errc::kTraceTruncated, "header");
-  }
-  trace.header.scenario = scenario.value();
-  trace.header.seed = seed.value();
-  trace.header.avatars = avatars.value();
-  trace.header.validators = validators.value();
-  trace.header.genesis_grant = grant.value();
-  trace.header.max_txs_per_block = max_txs.value();
-  auto genesis_root = read_digest(r);
-  if (!genesis_root.ok()) return genesis_root.error();
-  trace.header.genesis_root = genesis_root.value();
-  if (trace.header.validators == 0 || trace.header.max_txs_per_block == 0) {
-    return make_error(errc::kTraceBadCount, "empty validator set or block cap");
-  }
+  TraceHeader& h = trace.header;
+  h.scenario = r.str();
+  h.seed = r.u64();
+  h.avatars = r.u64();
+  h.validators = r.u32();
+  h.genesis_grant = r.u64();
+  h.max_txs_per_block = r.u32();
+  r.fixed(h.genesis_root);
+  r.require(h.validators != 0 && h.max_txs_per_block != 0, errc::kTraceBadCount,
+            "empty validator set or block cap");
 
-  auto round_count = r.u32();
-  if (!round_count.ok()) return make_error(errc::kTraceTruncated, "rounds");
-  if (static_cast<std::uint64_t>(round_count.value()) * kMinRoundBytes >
-      r.remaining()) {
-    return make_error(errc::kTraceBadCount, "round count exceeds stream");
-  }
-  trace.rounds.reserve(round_count.value());
-  for (std::uint32_t i = 0; i < round_count.value(); ++i) {
-    TraceRound round;
-    auto tx_count = r.u32();
-    if (!tx_count.ok()) return make_error(errc::kTraceTruncated, "tx count");
-    if (static_cast<std::uint64_t>(tx_count.value()) * kMinTxBytes >
-        r.remaining()) {
-      return make_error(errc::kTraceBadCount, "tx count exceeds stream");
-    }
-    round.txs.reserve(tx_count.value());
-    for (std::uint32_t t = 0; t < tx_count.value(); ++t) {
-      auto raw = r.bytes();
-      if (!raw.ok()) return make_error(errc::kTraceTruncated, "tx bytes");
-      auto tx = ledger::Transaction::decode(raw.value());
+  trace.rounds.resize(r.count(SIZE_MAX, kMinRoundBytes, errc::kTraceBadCount));
+  for (TraceRound& round : trace.rounds) {
+    const std::size_t tx_count = r.count(SIZE_MAX, kMinTxBytes, errc::kTraceBadCount);
+    round.txs.reserve(tx_count);
+    for (std::size_t t = 0; t < tx_count && r.ok(); ++t) {
+      auto tx = ledger::Transaction::decode(r.nested());
       if (!tx.ok()) {
-        return make_error(errc::kTraceBadTx, tx.error().to_string());
+        r.fail(errc::kTraceBadTx, tx.error().to_string());
+        break;
       }
       round.txs.push_back(std::move(tx).value());
     }
-    auto root = read_digest(r);
-    if (!root.ok()) return root.error();
-    round.commitment_root = root.value();
-    trace.rounds.push_back(std::move(round));
+    r.fixed(round.commitment_root);
   }
-  if (!r.exhausted()) {
-    return make_error(errc::kTraceBadCount, "trailing bytes before checksum");
-  }
-  return trace;
+  return r.finish(std::move(trace), errc::kTraceBadCount,
+                  "trailing bytes before checksum");
 }
 
 Result<Trace> load_trace(const std::string& path) {

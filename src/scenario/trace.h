@@ -78,7 +78,7 @@ struct Trace {
   /// version, bounded counts (a forged count larger than the remaining bytes
   /// is rejected before any allocation), per-transaction strict decode, and
   /// an exhausted check. Every failure names a trace.* code.
-  [[nodiscard]] static Result<Trace> decode(const Bytes& bytes);
+  [[nodiscard]] static Result<Trace> decode(std::span<const std::uint8_t> bytes);
 };
 
 /// Read/write helpers for golden-trace files (tests/data/*.trace).

@@ -194,31 +194,34 @@ TEST(Bytes, RoundTripScalars) {
   w.bytes(payload);
 
   ByteReader r(w.data());
-  EXPECT_EQ(r.u8().value(), 0xab);
-  EXPECT_EQ(r.u32().value(), 0xdeadbeefu);
-  EXPECT_EQ(r.u64().value(), 0x0123456789abcdefULL);
-  EXPECT_EQ(r.i64().value(), -42);
-  EXPECT_DOUBLE_EQ(r.f64().value(), 3.14159);
-  EXPECT_EQ(r.str().value(), "hello");
-  EXPECT_EQ(r.bytes().value(), payload);
+  EXPECT_EQ(r.u8(), 0xab);
+  EXPECT_EQ(r.u32(), 0xdeadbeefu);
+  EXPECT_EQ(r.u64(), 0x0123456789abcdefULL);
+  EXPECT_EQ(r.i64(), -42);
+  EXPECT_DOUBLE_EQ(r.f64(), 3.14159);
+  EXPECT_EQ(r.str(), "hello");
+  EXPECT_EQ(r.bytes(), payload);
   EXPECT_TRUE(r.exhausted());
+  EXPECT_TRUE(r.finish().ok());
 }
 
 TEST(Bytes, TruncatedReadFails) {
   ByteWriter w;
   w.u32(5);
   ByteReader r(w.data());
-  EXPECT_TRUE(r.u32().ok());
-  auto fail = r.u64();
-  ASSERT_FALSE(fail.ok());
-  EXPECT_EQ(fail.error().code, "bytes.truncated");
+  EXPECT_EQ(r.u32(), 5u);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.u64(), 0u);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, "bytes.truncated");
 }
 
 TEST(Bytes, TruncatedStringFails) {
   ByteWriter w;
   w.u32(100);  // declares 100 bytes that are not there
   ByteReader r(w.data());
-  EXPECT_FALSE(r.str().ok());
+  EXPECT_EQ(r.str(), "");
+  EXPECT_FALSE(r.ok());
 }
 
 TEST(Bytes, HexEncoding) {

@@ -287,6 +287,30 @@ TEST(Portability, DecodeRejectsGarbageAndTampering) {
   Bytes enc = pack.encode();
   enc.push_back(0x7);  // trailing byte
   EXPECT_FALSE(GovernancePack::decode(enc).ok());
+
+  // Region bindings must be strictly ascending: a duplicate region (which
+  // would collapse to one binding) or a reordered pair is a second encoding.
+  const auto with_bindings =
+      [](const std::vector<std::pair<std::string, std::string>>& bindings) {
+        ByteWriter w;
+        w.str("mvgovpack/1");
+        w.u32(0);
+        w.u32(static_cast<std::uint32_t>(bindings.size()));
+        for (const auto& [region, regulation] : bindings) {
+          w.str(region);
+          w.str(regulation);
+        }
+        return w.take();
+      };
+  ASSERT_TRUE(GovernancePack::decode(with_bindings({{"eu", "gdpr"}, {"us", "ccpa"}})).ok());
+  EXPECT_EQ(GovernancePack::decode(with_bindings({{"eu", "gdpr"}, {"eu", "other"}}))
+                .error()
+                .code,
+            "pack.bad_order");
+  EXPECT_EQ(GovernancePack::decode(with_bindings({{"us", "ccpa"}, {"eu", "gdpr"}}))
+                .error()
+                .code,
+            "pack.bad_order");
 }
 
 TEST(EthicsReport, EmptyReportIsVacuouslyPerfect) {

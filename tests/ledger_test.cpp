@@ -338,6 +338,52 @@ TEST(Blockchain, AssembleDropsInvalidTxs) {
   ASSERT_TRUE(chain.append(block).ok());
 }
 
+/// A signed transaction of `kind` carrying `payload` verbatim.
+Transaction signed_with_payload(const crypto::Wallet& from, std::uint64_t nonce,
+                                TxKind kind, Bytes payload, Rng& rng) {
+  Transaction tx;
+  tx.sender_pub = from.public_key();
+  tx.nonce = nonce;
+  tx.kind = kind;
+  tx.payload = std::move(payload);
+  tx.fee = 1;
+  tx.sig = from.sign(tx.signing_bytes(), rng);
+  return tx;
+}
+
+TEST(Blockchain, PayloadWithTrailingBytesNeverApplies) {
+  // One junk byte after a transfer or audit body would be a second digest
+  // for the same effect. Such a tx fails to apply, so assembly drops it and
+  // the block commits exactly what the clean candidates alone commit.
+  ChainFixture f;
+  Bytes transfer = TransferBody{f.alice.address(), 10}.encode();
+  transfer.push_back(0x00);
+  Bytes audit = AuditRecordBody{"gaze", "animation", 1, "none"}.encode();
+  audit.push_back(0x00);
+  const Transaction padded_transfer =
+      signed_with_payload(f.bob, 0, TxKind::kTransfer, transfer, f.rng);
+  const Transaction padded_audit =
+      signed_with_payload(f.bob, 0, TxKind::kAuditRecord, audit, f.rng);
+  const Transaction good = make_transfer(f.alice, 0, f.bob.address(), 10, 1, f.rng);
+
+  LedgerState probe = f.state;
+  EXPECT_EQ(probe.apply(padded_transfer, *f.contracts, 0).error().code,
+            errc::kTxTrailingBytes);
+  EXPECT_EQ(probe.apply(padded_audit, *f.contracts, 0).error().code,
+            errc::kTxTrailingBytes);
+
+  Blockchain chain = f.make_chain();
+  const Block block =
+      chain.assemble(f.v0, {padded_transfer, padded_audit, good}, 0, f.rng);
+  ASSERT_EQ(block.txs.size(), 1u);
+  EXPECT_EQ(block.txs[0].digest(), good.digest());
+  Blockchain clean = f.make_chain();
+  const Block reference = clean.assemble(f.v0, {good}, 0, f.rng);
+  EXPECT_EQ(block.header.state_root, reference.header.state_root);
+  EXPECT_EQ(block.header.tx_root, reference.header.tx_root);
+  ASSERT_TRUE(chain.append(block).ok());
+}
+
 TEST(Blockchain, AssembleTakesFirstMaxTxsSuccessesInOrder) {
   // 20 candidates against a 16-tx cap, with an overdraft at index 3: the
   // block is the first 16 candidates that apply, in candidate order, and a
@@ -476,6 +522,22 @@ TEST(Blockchain, ImportRejectsTamperedArchive) {
   }
 }
 
+TEST(Blockchain, ImportRejectsTrailingBytesBeforeApplyingAnyBlock) {
+  ChainFixture f;
+  Blockchain source = f.make_chain();
+  for (int h = 0; h < 3; ++h) {
+    const auto& proposer = (h % 2 == 0) ? f.v0 : f.v1;
+    ASSERT_TRUE(source.append(source.assemble(proposer, {}, h, f.rng)).ok());
+  }
+  Bytes archive = source.export_blocks();
+  archive.push_back(0x00);
+  Blockchain fresh = f.make_chain();
+  const auto imported = fresh.import_blocks(archive);
+  ASSERT_FALSE(imported.ok());
+  EXPECT_EQ(imported.error().code, errc::kChainBadBlockCount);
+  EXPECT_EQ(fresh.height(), 0);
+}
+
 TEST(Blockchain, ImportRejectsForgedCount) {
   ChainFixture f;
   Blockchain fresh = f.make_chain();
@@ -485,6 +547,21 @@ TEST(Blockchain, ImportRejectsForgedCount) {
 }
 
 // ---------------------------------------------------------------- consensus
+
+TEST(VoteMsg, DecodeIsStrict) {
+  Fixture f;
+  VoteMsg vote;
+  vote.height = 3;
+  vote.block_hash = crypto::sha256(Bytes{1, 2, 3});
+  vote.voter = f.alice.public_key();
+  vote.sig = f.alice.sign(Bytes{4}, f.rng);
+  Bytes enc = vote.encode();
+  auto decoded = VoteMsg::decode(enc);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value().encode(), enc);
+  enc.push_back(0x00);
+  EXPECT_EQ(VoteMsg::decode(enc).error().code, "vote.trailing_bytes");
+}
 
 struct CommitteeFixture {
   Rng rng{202};

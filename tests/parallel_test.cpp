@@ -42,32 +42,29 @@ class ScratchpadContract final : public Contract {
                             const Bytes& args) const override {
     ByteReader r(args);
     if (method == "bump") {
-      auto key = r.str();
-      if (!key.ok()) return key.error();
+      const std::string key = r.str();
+      if (!r.ok()) return r.error();
       std::uint64_t counter = 0;
-      if (const Bytes* cur = ctx.get(key.value())) {
+      if (const Bytes* cur = ctx.get(key)) {
         ByteReader vr(*cur);
-        auto v = vr.u64();
-        if (!v.ok()) return v.error();
-        counter = v.value();
+        counter = vr.u64();
+        if (!vr.ok()) return vr.error();
       }
       ByteWriter w;
       w.u64(counter + 1);
-      ctx.put(key.value(), w.take());
+      ctx.put(key, w.take());
       return {};
     }
     if (method == "pay") {
-      auto to = r.u64();
-      if (!to.ok()) return to.error();
-      auto amount = r.u64();
-      if (!amount.ok()) return amount.error();
-      return ctx.transfer(ctx.caller(), crypto::Address{to.value()},
-                          amount.value());
+      const crypto::Address to{r.u64()};
+      const std::uint64_t amount = r.u64();
+      if (!r.ok()) return r.error();
+      return ctx.transfer(ctx.caller(), to, amount);
     }
     if (method == "drop") {
-      auto key = r.str();
-      if (!key.ok()) return key.error();
-      ctx.erase(key.value());
+      const std::string key = r.str();
+      if (!r.ok()) return r.error();
+      ctx.erase(key);
       return {};
     }
     return Status::fail("pad.bad_method", method);

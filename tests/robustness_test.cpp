@@ -99,8 +99,8 @@ TEST(Fuzz, ByteReaderHandlesArbitraryTruncation) {
     (void)r.str();
     (void)r.bytes();
     (void)r.f64();
+    EXPECT_FALSE(r.finish().ok()) << "cut " << cut;
   }
-  SUCCEED();
 }
 
 // ---------------------------------------------------------------- byzantine

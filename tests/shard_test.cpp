@@ -26,11 +26,7 @@ crypto::Wallet wallet_on_shard(Rng& rng, std::uint32_t target,
 }
 
 std::uint64_t store_u64(const LedgerState& state, const char* key) {
-  const Bytes* bytes = state.store_get(kXShardContractName, key);
-  if (bytes == nullptr) return 0;
-  ByteReader r(*bytes);
-  auto v = r.u64();
-  return v.ok() ? v.value() : 0;
+  return leading_u64(state.store_get(kXShardContractName, key));
 }
 
 ShardAnchor anchor_of(const crypto::Digest& state_root,

@@ -462,7 +462,7 @@ TEST(SnapshotExport, ServesRetainedHeightsExactly) {
     auto state = assemble_snapshot(snap.value().manifest, snap.value().chunks);
     ASSERT_TRUE(state.ok()) << "height " << h;
     // The exported commitment must be the one retained when the block
-    // committed (absent only at the very edge of the ring).
+    // committed.
     if (const StateCommitment* expected = chain.commitment_at(h)) {
       EXPECT_EQ(state.value().commitment(), *expected) << "height " << h;
     }
@@ -476,6 +476,46 @@ TEST(SnapshotExport, ServesRetainedHeightsExactly) {
   EXPECT_EQ(chain.export_snapshot(-1).error().code, "chain.bad_height");
   // Historical export leaves the live chain untouched.
   EXPECT_EQ(chain.state().commitment(), *chain.commitment_at(tip));
+}
+
+TEST(SnapshotExport, RingKeepsTheCommitmentItsOldestUndoReaches) {
+  // The ring's undos reach tip - retention; that height's commitment must be
+  // kept too, so export and proofs there need no verifying full-state copy.
+  SyncFixture f;
+  Blockchain chain = f.make_chain();
+  f.grow(chain, 12);
+  const std::int64_t tip = chain.height() - 1;
+  const std::int64_t floor = tip - static_cast<std::int64_t>(f.config.state_retention);
+  const StateCommitment* at = chain.commitment_at(floor);
+  ASSERT_NE(at, nullptr);
+  EXPECT_EQ(chain.commitment_at(floor - 1), nullptr);
+
+  // The state at `floor`, rebuilt independently by replaying the prefix.
+  Blockchain prefix = f.make_chain();
+  for (std::int64_t h = 0; h <= floor; ++h) {
+    ASSERT_TRUE(prefix.append(*chain.block_at(h)).ok()) << "height " << h;
+  }
+  EXPECT_EQ(*at, prefix.state().full_rehash_commitment());
+  EXPECT_EQ(at->root, chain.block_at(floor)->header.state_root);
+
+  const auto proof = chain.prove_account(f.alice.address(), floor);
+  ASSERT_TRUE(proof.ok());
+  EXPECT_EQ(proof.value().commitment, *at);
+  auto snap = chain.export_snapshot(floor, 256);
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ(snap.value().manifest.commitment, *at);
+  auto state = assemble_snapshot(snap.value().manifest, snap.value().chunks);
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(state.value().full_rehash_commitment(), *at);
+
+  // A snapshot-installed replica's floor is the installed state itself.
+  Blockchain replica = f.make_chain();
+  ASSERT_TRUE(replica
+                  .init_from_snapshot(snap.value().manifest, snap.value().chunks,
+                                      chain.block_at(floor)->header)
+                  .ok());
+  ASSERT_NE(replica.commitment_at(floor), nullptr);
+  EXPECT_EQ(*replica.commitment_at(floor), *at);
 }
 
 TEST(SnapshotExport, RetentionZeroKeepsTipOnlyBehaviour) {
