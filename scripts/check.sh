@@ -2,8 +2,10 @@
 # Build and test three configurations: the normal RelWithDebInfo build, the
 # ASan+UBSan build, and a ThreadSanitizer build that runs the suites
 # exercising the node's remaining concurrency (JobQueue workers, shard
-# fan-out, subscription fan-out). Also emits ledger benchmark medians to
-# BENCH_ledger.json. Run from the repository root.
+# fan-out, subscription fan-out). Also writes the e2e and ledger benchmark
+# medians to build/BENCH_e2e.json and build/BENCH_ledger.json, so a green run
+# leaves the checked-in BENCH_*.json records untouched. Run from the
+# repository root.
 # Exits non-zero on the first failing build, test, or missing gate.
 set -euo pipefail
 
@@ -187,17 +189,17 @@ if echo "${codec_out}" | grep -qi 'skipped'; then
   exit 1
 fi
 
-echo "== bench: e2e macro workloads -> BENCH_e2e.json =="
+echo "== bench: e2e macro workloads -> build/BENCH_e2e.json =="
 MV_BENCH_NO_TABLE=1 ./build/bench/bench_e2e \
-  --benchmark_out=BENCH_e2e.json \
+  --benchmark_out=build/BENCH_e2e.json \
   --benchmark_out_format=json
 
-echo "== bench: ledger microbenchmarks -> BENCH_ledger.json (median of 3) =="
+echo "== bench: ledger microbenchmarks -> build/BENCH_ledger.json (median of 3) =="
 MV_BENCH_NO_TABLE=1 ./build/bench/bench_ledger \
-  --benchmark_filter='BM_BlockAssembleValidate|BM_BlockValidateDisjoint|BM_CommitmentAfterTouch|BM_TxApplyTransfer|BM_MempoolSelectRemove|BM_AccountProofRoundTrip|BM_CatchUp|BM_DiffSnapshot|BM_SnapshotExportImport|BM_BlockValidateSigCache|BM_JobQueue|BM_SubscriptionFanout|BM_ShardedPipeline' \
+  --benchmark_filter='BM_BlockAssembleValidate|BM_BlockAssembleAppend|BM_BlockValidateDisjoint|BM_CommitmentAfterTouch|BM_TxApplyTransfer|BM_MempoolSelectRemove|BM_AccountProofRoundTrip|BM_CatchUp|BM_DiffSnapshot|BM_SnapshotExportImport|BM_BlockValidateSigCache|BM_JobQueue|BM_SubscriptionFanout|BM_ShardedPipeline' \
   --benchmark_repetitions=3 \
   --benchmark_report_aggregates_only=true \
-  --benchmark_out=BENCH_ledger.json \
+  --benchmark_out=build/BENCH_ledger.json \
   --benchmark_out_format=json
 
 echo "== configure + build: asan-ubsan =="

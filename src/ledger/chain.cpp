@@ -1,11 +1,90 @@
 #include "ledger/chain.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 
 namespace mv::ledger {
+
+namespace {
+
+// Block application (DESIGN.md §7 "Block application"): a block's
+// transactions applied one by one, in block order, on the calling thread,
+// with the verified-signature memo consulted before each signature check.
+
+enum class ApplyMode {
+  kAllOrNothing,  ///< validation: first failure rejects the whole block
+  kSkipFailures,  ///< assembly: failed candidates are dropped, rest proceed
+};
+
+/// Outcome of apply_block(). `status`/`failed_index` are meaningful in
+/// kAllOrNothing mode; `applied` lists the indices applied (ascending), which
+/// in kSkipFailures mode is the assembled block's content.
+struct BlockApplyOutcome {
+  Status status;
+  std::size_t failed_index = 0;
+  std::vector<std::size_t> applied;
+  // Both zero when no sig_cache is configured (cacheless verification is
+  // not counted).
+  std::size_t sig_hits = 0;    ///< signatures vouched for by the sig cache
+  std::size_t sig_misses = 0;  ///< cache misses verified afresh
+};
+
+/// Apply `txs` onto `scratch` one by one, in order. `digests[i]` is
+/// `txs[i].digest()`, which the caller already computed for the tx root.
+/// Each signature is looked up in `sig_cache` (when non-null) first; a miss
+/// is verified here and, if valid, remembered. An invalid signature is left
+/// to apply(), which re-verifies and produces the authoritative error.
+/// kAllOrNothing stops at the first failure; kSkipFailures drops failures
+/// and stops once `max_applied` transactions have applied. The outcome is
+/// counted in `stats`.
+BlockApplyOutcome apply_block(
+    LedgerStateOverlay& scratch, const std::vector<Transaction>& txs,
+    std::span<const crypto::Digest> digests, const ContractRegistry& contracts,
+    Tick height, crypto::DigestLruSet* sig_cache, ApplyMode mode,
+    ValidationStats& stats,
+    std::size_t max_applied = std::numeric_limits<std::size_t>::max()) {
+  BlockApplyOutcome out;
+  for (std::size_t i = 0; i < txs.size() && out.applied.size() < max_applied;
+       ++i) {
+    const Transaction& tx = txs[i];
+    bool preverified = false;
+    if (sig_cache != nullptr) {
+      const crypto::Digest& digest = digests[i];
+      if (sig_cache->contains_and_touch(digest)) {
+        preverified = true;
+        ++out.sig_hits;
+      } else {
+        ++out.sig_misses;
+        preverified = tx.signature_valid();
+        if (preverified) sig_cache->insert(digest);
+      }
+    }
+    if (Status s = scratch.apply(tx, contracts, height, preverified); s.ok()) {
+      out.applied.push_back(i);
+    } else if (mode == ApplyMode::kAllOrNothing) {
+      out.status = std::move(s);
+      out.failed_index = i;
+      break;
+    }
+  }
+  ++stats.applies;
+  stats.sig_cache_hits += out.sig_hits;
+  stats.sig_cache_misses += out.sig_misses;
+  return out;
+}
+
+std::vector<crypto::Digest> tx_digests(const std::vector<Transaction>& txs) {
+  std::vector<crypto::Digest> out;
+  out.reserve(txs.size());
+  for (const auto& tx : txs) out.push_back(tx.digest());
+  return out;
+}
+
+}  // namespace
 
 Blockchain::Blockchain(ChainConfig config,
                        std::shared_ptr<const ContractRegistry> contracts,
@@ -24,6 +103,9 @@ Blockchain::Blockchain(ChainConfig config,
   }
   if (config_.validators.empty()) {
     throw std::invalid_argument("Blockchain: empty validator set");
+  }
+  if (config_.state_retention == 0) {
+    throw std::invalid_argument("Blockchain: state_retention must be at least 1");
   }
   ByteWriter w;
   w.str("genesis");
@@ -51,15 +133,6 @@ const crypto::PublicKey& Blockchain::expected_proposer(std::int64_t height) cons
                             config_.validators.size()];
 }
 
-namespace {
-std::vector<crypto::Digest> tx_digests(const std::vector<Transaction>& txs) {
-  std::vector<crypto::Digest> out;
-  out.reserve(txs.size());
-  for (const auto& tx : txs) out.push_back(tx.digest());
-  return out;
-}
-}  // namespace
-
 Block Blockchain::assemble(const crypto::Wallet& proposer,
                            const std::vector<Transaction>& candidates,
                            Tick timestamp, Rng& rng) const {
@@ -74,9 +147,8 @@ Block Blockchain::assemble(const crypto::Wallet& proposer,
   auto scratch = LedgerStateOverlay::reader(state());
   const auto outcome = apply_block(
       scratch, candidates, digests, *contracts_, block.header.height,
-      config_.validation.sig_cache.get(), ApplyMode::kSkipFailures,
+      config_.validation.sig_cache.get(), ApplyMode::kSkipFailures, vstats_,
       config_.max_txs_per_block);
-  vstats_.record(outcome);
   std::vector<crypto::Digest> applied;
   applied.reserve(outcome.applied.size());
   for (const std::size_t i : outcome.applied) {
@@ -84,7 +156,7 @@ Block Blockchain::assemble(const crypto::Wallet& proposer,
     applied.push_back(digests[i]);
   }
   block.header.tx_root = crypto::MerkleTree(applied).root();
-  StagedCommit staged = state().stage(std::move(scratch), wants_undo());
+  StagedCommit staged = state().stage(std::move(scratch));
   block.header.state_root = staged.commitment.root;
   block.header.proposer_sig = proposer.sign(block.header.signing_bytes(), rng);
   memo_ = ExecutionMemo{block.header.prev_hash, block.header.height,
@@ -116,11 +188,9 @@ Status Blockchain::validate(const Block& block) const {
     return Status::fail("block.bad_tx_root", "Merkle root mismatch");
   }
   // Execution is a deterministic function of parent state, height and the
-  // exact tx list, so a memo with this key already holds its result — unless
-  // it was staged without the undo a commit now needs (a hook set since).
+  // exact tx list, so a memo with this key already holds its result.
   const bool hit = memo_.has_value() && memo_->parent == h.prev_hash &&
-                   memo_->height == h.height && memo_->tx_digests == digests &&
-                   (memo_->staged.undo.has_value() || !wants_undo());
+                   memo_->height == h.height && memo_->tx_digests == digests;
   crypto::Digest root;
   if (hit) {
     ++vstats_.memo_hits;
@@ -129,14 +199,13 @@ Status Blockchain::validate(const Block& block) const {
     auto scratch = LedgerStateOverlay::reader(state());
     const auto outcome = apply_block(scratch, block.txs, digests, *contracts_,
                                      h.height, config_.validation.sig_cache.get(),
-                                     ApplyMode::kAllOrNothing);
-    vstats_.record(outcome);
+                                     ApplyMode::kAllOrNothing, vstats_);
     if (!outcome.status.ok()) {
       return Status::fail("block.bad_tx",
                           "tx " + std::to_string(outcome.failed_index) + ": " +
                               outcome.status.error().to_string());
     }
-    StagedCommit staged = state().stage(std::move(scratch), wants_undo());
+    StagedCommit staged = state().stage(std::move(scratch));
     root = staged.commitment.root;
     if (root == h.state_root) {
       memo_ = ExecutionMemo{h.prev_hash, h.height, std::move(digests),
@@ -160,29 +229,18 @@ Status Blockchain::append(const Block& block) {
   // The inverse delta feeds the retention ring that serves historical proofs
   // and snapshot export, and tells the commit hook which accounts/stores the
   // block touched.
-  StateUndo undo = staged.undo.has_value() ? std::move(*staged.undo) : StateUndo{};
-  const StateCommitment commitment = staged.commitment;
+  Retained slot{std::move(staged.undo), staged.commitment};
   state.install(std::move(staged));
   blocks_.push_back(block);
-  if (commit_hook_) commit_hook_(block, undo);
-  if (config_.state_retention > 0) {
-    retained_.push_back(Retained{std::move(undo), commitment});
-    if (retained_.size() > config_.state_retention) {
-      // The slot leaving the ring holds the post-state the oldest remaining
-      // undo rolls back to: keep its commitment.
-      ring_floor_ = retained_.front().commitment;
-      retained_.pop_front();
-    }
+  if (commit_hook_) commit_hook_(block, slot.undo);
+  retained_.push_back(std::move(slot));
+  if (retained_.size() > config_.state_retention) {
+    // The slot leaving the ring holds the post-state the oldest remaining
+    // undo rolls back to: keep its commitment.
+    ring_floor_ = retained_.front().commitment;
+    retained_.pop_front();
   }
   return {};
-}
-
-bool Blockchain::retains(std::int64_t height) const {
-  const std::int64_t tip = this->height() - 1;
-  if (height > tip) return false;
-  if (height == tip) return true;  // the tip state is state_ itself
-  // Rolling back to `height` consumes the undos of blocks (height, tip].
-  return tip - height <= static_cast<std::int64_t>(retained_.size());
 }
 
 const StateCommitment* Blockchain::commitment_at(std::int64_t height) const {
@@ -194,18 +252,21 @@ const StateCommitment* Blockchain::commitment_at(std::int64_t height) const {
   return &retained_[retained_.size() - 1 - static_cast<std::size_t>(back)].commitment;
 }
 
-Result<LedgerState> Blockchain::state_at(std::int64_t height) const {
-  const std::int64_t tip = this->height() - 1;
-  LedgerState state = this->state();
-  for (std::int64_t h = tip; h > height; --h) {
-    const std::size_t slot =
-        retained_.size() - 1 - static_cast<std::size_t>(tip - h);
-    state.apply_undo(retained_[slot].undo);
+void Blockchain::roll_back(LedgerState& state, std::int64_t height) const {
+  // The undos of blocks (height, tip] are the ring's last tip - height slots,
+  // applied newest first.
+  const auto steps = static_cast<std::size_t>(this->height() - 1 - height);
+  for (std::size_t i = 1; i <= steps; ++i) {
+    state.apply_undo(retained_[retained_.size() - i].undo);
   }
-  // Sanity anchor: the retained commitment for `height` must be reproduced
-  // exactly.
-  if (const StateCommitment* expected = commitment_at(height);
-      expected == nullptr || state.commitment() != *expected) {
+}
+
+Result<LedgerState> Blockchain::state_at(std::int64_t height,
+                                         const StateCommitment& expected) const {
+  LedgerState state = this->state();
+  roll_back(state, height);
+  // Sanity anchor: the retained commitment must be reproduced exactly.
+  if (state.commitment() != expected) {
     return make_error(errc::kChainRetentionCorrupt,
                       "rolled-back state does not match retained commitment");
   }
@@ -274,7 +335,8 @@ Result<AccountProof> Blockchain::prove_account_now(
   if (block_height < 0 || block_height >= height()) {
     return make_error(errc::kChainBadHeight, "no such block");
   }
-  if (!retains(block_height)) {
+  const StateCommitment* retained = commitment_at(block_height);
+  if (retained == nullptr) {
     return make_error(errc::kChainStaleHeight,
                       "height " + std::to_string(block_height) +
                           " is beyond the retention window (tip " +
@@ -284,7 +346,7 @@ Result<AccountProof> Blockchain::prove_account_now(
   if (block_height == height() - 1) {
     return make_account_proof(state(), addr, block_height);
   }
-  auto state = state_at(block_height);
+  auto state = state_at(block_height, *retained);
   if (!state.ok()) return state.error();
   return make_account_proof(state.value(), addr, block_height);
 }
@@ -294,7 +356,8 @@ Result<Snapshot> Blockchain::export_snapshot(std::int64_t height,
   if (height < 0 || height >= this->height()) {
     return make_error(errc::kChainBadHeight, "no such block");
   }
-  if (!retains(height)) {
+  const StateCommitment* commitment = commitment_at(height);
+  if (commitment == nullptr) {
     return make_error(errc::kChainStaleHeight,
                       "height " + std::to_string(height) +
                           " is beyond the retention window");
@@ -309,18 +372,8 @@ Result<Snapshot> Blockchain::export_snapshot(std::int64_t height,
   // per-chunk digests → decoded-state commitment re-check) verifies the
   // result end to end, so a corrupt ring cannot produce an
   // installable-but-wrong snapshot — it produces one every receiver rejects.
-  const StateCommitment* commitment = commitment_at(height);
-  if (commitment == nullptr) {
-    return make_error(errc::kChainRetentionCorrupt,
-                      "retained height has no retained commitment");
-  }
   LedgerState content = state().content_clone();
-  const std::int64_t tip = this->height() - 1;
-  for (std::int64_t h = tip; h > height; --h) {
-    const std::size_t slot =
-        retained_.size() - 1 - static_cast<std::size_t>(tip - h);
-    content.apply_undo(retained_[slot].undo);
-  }
+  roll_back(content, height);
   return build_snapshot(content, height, *commitment, chunk_size);
 }
 
@@ -358,7 +411,7 @@ Status Blockchain::init_from_snapshot(const SnapshotManifest& manifest,
   base_hash_ = anchor.hash();
   retained_.clear();
   // The installed state is what the first retained undo will roll back to.
-  if (config_.state_retention > 0) ring_floor_ = manifest.commitment;
+  ring_floor_ = manifest.commitment;
   memo_.reset();
   return {};
 }

@@ -23,15 +23,15 @@ namespace mv::ledger {
 struct ChainConfig {
   std::vector<crypto::PublicKey> validators;  ///< round-robin proposer order
   std::size_t max_txs_per_block = 256;
-  /// Block application (ledger/parallel.h): the signature memo, plus the
-  /// shared prioritized JobQueue (common/job_queue.h) that prove_account
-  /// queries ride.
+  /// Block application knobs: the signature memo, plus the shared
+  /// prioritized JobQueue (common/job_queue.h) that prove_account queries
+  /// ride.
   ValidationConfig validation;
   /// How many recent heights behind the tip stay reconstructible (a ring of
   /// per-block undo deltas + commitments): prove_account and export_snapshot
   /// serve heights in [tip - state_retention, tip]. Capture costs O(touched)
-  /// per committed block; 0 disables retention (tip-only, the historical
-  /// behaviour).
+  /// per committed block. At least 1 (the constructor throws on 0): the
+  /// ring's newest slot holds the tip's commitment.
   std::size_t state_retention = 8;
 };
 
@@ -130,8 +130,7 @@ class Blockchain {
                                                    std::int64_t block_height) const;
 
   /// Post-state commitment of block `height`, for the tip and every height
-  /// the retention ring can roll back to (with retention 0, none). nullptr
-  /// otherwise.
+  /// the retention ring can roll back to; nullptr otherwise.
   [[nodiscard]] const StateCommitment* commitment_at(std::int64_t height) const;
 
   /// Build a verified snapshot of the state as of block `height` (the tip or
@@ -188,12 +187,6 @@ class Blockchain {
     StagedCommit staged;
   };
 
-  /// Whether a commit needs its inverse delta: for the retention ring or for
-  /// the commit hook.
-  [[nodiscard]] bool wants_undo() const {
-    return config_.state_retention > 0 || static_cast<bool>(commit_hook_);
-  }
-
   /// The proof construction itself (prove_account minus queue admission).
   [[nodiscard]] Result<AccountProof> prove_account_now(
       crypto::Address addr, std::int64_t block_height) const;
@@ -204,12 +197,15 @@ class Blockchain {
     StateUndo undo;
     StateCommitment commitment;
   };
-  /// True when the retention ring covers block `height`'s post-state.
-  [[nodiscard]] bool retains(std::int64_t height) const;
-  /// Reconstruct the post-state of block `height` by rolling the tip state
-  /// back through the ring (O(state) copy + O(touched) per rolled-back
-  /// block). `height` must be retained and strictly below the tip.
-  [[nodiscard]] Result<LedgerState> state_at(std::int64_t height) const;
+  /// Roll `state`, which holds the tip's content, back through the ring to
+  /// the post-state of block `height` (O(touched) per rolled-back block).
+  /// `height` must be retained (commitment_at(height) is set).
+  void roll_back(LedgerState& state, std::int64_t height) const;
+  /// Reconstruct the post-state of block `height` by rolling a copy of the
+  /// tip state back (O(state) copy + roll_back), checked against `expected`,
+  /// the retained commitment. `height` must be retained.
+  [[nodiscard]] Result<LedgerState> state_at(
+      std::int64_t height, const StateCommitment& expected) const;
 
   /// The working state, or nullopt while the chain still *is* the genesis
   /// state (no committed blocks, no installed snapshot). state() reads
@@ -229,8 +225,7 @@ class Blockchain {
   std::deque<Retained> retained_;
   /// Commitment of the state the ring's oldest undo rolls back to (height
   /// tip - retained_.size()), so every height the ring can reach has its
-  /// commitment. Set once a block leaves the ring or a snapshot installs;
-  /// unset with retention 0.
+  /// commitment. Set once a block leaves the ring or a snapshot installs.
   std::optional<StateCommitment> ring_floor_;
   mutable ValidationStats vstats_;
   mutable std::optional<ExecutionMemo> memo_;

@@ -50,9 +50,8 @@ struct ConsensusStats {
 class ValidatorCommittee {
  public:
   /// Creates `n` validators with fresh wallets, replicas of the same genesis,
-  /// and nodes on `network`. `validation` configures block application on
-  /// every replica (ledger/parallel.h); each replica gets its own signature
-  /// memo.
+  /// and nodes on `network`. `validation` (ValidationConfig) configures
+  /// every replica's chain; each replica gets its own signature memo.
   ValidatorCommittee(net::Network& network, std::size_t n,
                      std::shared_ptr<const ContractRegistry> contracts,
                      const LedgerState& genesis, std::size_t max_txs_per_block,

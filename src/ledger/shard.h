@@ -68,6 +68,7 @@ struct ShardConfig {
   /// verified-signature caches (the LRU is single-threaded; shards get one
   /// each instead of sharing the instance).
   ValidationConfig validation;
+  /// Each shard chain's ChainConfig::state_retention (at least 1).
   std::size_t state_retention = 8;
   MempoolConfig mempool;
   /// Seed for the deterministic per-(round, shard) signing streams, so

@@ -374,15 +374,25 @@ std::vector<std::string> LedgerState::store_keys_with_prefix(
   return out;
 }
 
-StateCommitment LedgerState::commitment_with(const CommitmentDelta& delta) const {
-  return compute_commitment(delta, nullptr);
+/// A block overlay's delta, with the audit records and store writes left in
+/// the overlay and pointed to.
+struct LedgerState::CommitmentDelta {
+  std::map<crypto::Address, std::uint64_t> balances;
+  std::map<crypto::Address, std::uint64_t> nonces;
+  std::vector<const StoredAuditRecord*> audit;  ///< appended, oldest first
+  /// contract -> key -> new value (pointer into an overlay; nullopt* = erase)
+  std::map<std::string, std::map<std::string, const std::optional<Bytes>*>> stores;
+  std::uint64_t burned = 0;
+};
+
+StateCommitment LedgerState::commitment() const {
+  return compute_commitment(CommitmentDelta{}, nullptr);
 }
 
 StateCommitment LedgerState::compute_commitment(const CommitmentDelta& delta,
                                                 StagedCommit* stage) const {
   StateCommitment c;
-  StateUndo* undo =
-      stage != nullptr && stage->undo.has_value() ? &*stage->undo : nullptr;
+  StateUndo* undo = stage != nullptr ? &stage->undo : nullptr;
 
   // Accounts: one table read per touched address yields the prior record
   // (the undo's values) and, with the delta on top, the new leaf.
@@ -487,8 +497,7 @@ StateCommitment LedgerState::compute_commitment(const CommitmentDelta& delta,
   return c;
 }
 
-StagedCommit LedgerState::stage(LedgerStateOverlay&& block,
-                                bool with_undo) const {
+StagedCommit LedgerState::stage(LedgerStateOverlay&& block) const {
   assert(block.base_ == this);
   // The overlay is consumed: its account maps move into the delta and its
   // audit records and store writes into the stage, uncopied.
@@ -503,7 +512,6 @@ StagedCommit LedgerState::stage(LedgerStateOverlay&& block,
   }
   delta.burned = block.burned_delta_;
   StagedCommit staged;
-  if (with_undo) staged.undo.emplace();
   staged.accounts.reserve(delta.balances.size() + delta.nonces.size());
   staged.commitment = compute_commitment(delta, &staged);
   staged.audit = std::move(block.audit_appended_);
@@ -643,31 +651,6 @@ std::vector<std::string> LedgerStateOverlay::store_keys_with_prefix(
     }
   }
   return out;
-}
-
-StateCommitment LedgerStateOverlay::commitment_with(
-    const CommitmentDelta& above) const {
-  // Fold this overlay's delta under the layers stacked above it (above
-  // wins on equal keys — it is newer) and recurse toward the materialized
-  // base, which combines the flattened delta with its cached sections.
-  CommitmentDelta merged;
-  merged.balances = balances_;
-  for (const auto& [addr, value] : above.balances) merged.balances[addr] = value;
-  merged.nonces = nonces_;
-  for (const auto& [addr, value] : above.nonces) merged.nonces[addr] = value;
-  merged.audit.reserve(audit_appended_.size() + above.audit.size());
-  for (const auto& rec : audit_appended_) merged.audit.push_back(&rec);
-  merged.audit.insert(merged.audit.end(), above.audit.begin(), above.audit.end());
-  for (const auto& [contract, kv] : stores_) {
-    auto& dst = merged.stores[contract];
-    for (const auto& [key, value] : kv) dst[key] = &value;
-  }
-  for (const auto& [contract, kv] : above.stores) {
-    auto& dst = merged.stores[contract];
-    for (const auto& [key, pval] : kv) dst[key] = pval;
-  }
-  merged.burned = burned_delta_ + above.burned;
-  return base_->commitment_with(merged);
 }
 
 void LedgerStateOverlay::commit() {

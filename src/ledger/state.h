@@ -4,8 +4,8 @@
 // Two layers share one mutation interface (LedgerView):
 //  - LedgerState is the committed, materialized state (a plain value type);
 //  - LedgerStateOverlay is a copy-on-write delta over a base view, built via
-//    the named factories reader()/writer()/nested(). Block assembly and
-//    validation trial-apply transactions on an overlay; a block's overlay is
+//    the named factories reader()/nested(). Block assembly and validation
+//    trial-apply transactions on a reader overlay; a block's overlay is
 //    staged once (LedgerState::stage) and its stage installed on commit
 //    (LedgerState::install), so the per-block cost is proportional to the
 //    block, not to the world. Contract-call atomicity uses a nested overlay
@@ -14,9 +14,9 @@
 // State commitment is incremental (DESIGN.md §"State commitment"): the
 // account map is Merkleized (crypto::MerkleMap), the audit log carries a
 // running chain hash, and each contract store an additive multiset digest,
-// so commitment() costs O(touched · log n) on an overlay instead of
-// re-hashing the world. full_rehash_commitment() recomputes everything from
-// scratch as a differential-testing oracle.
+// so staging a block costs O(touched · log n) instead of re-hashing the
+// world. full_rehash_commitment() recomputes everything from scratch as a
+// differential-testing oracle.
 #pragma once
 
 #include <functional>
@@ -51,9 +51,9 @@ struct StoredAuditRecord {
 using ContractStore = std::map<std::string, Bytes>;
 
 /// Commitment to a full ledger state: one root digest plus the per-section
-/// digests it is combined from. Returned by LedgerView::commitment() on the
-/// materialized state and on overlays at any nesting depth; block headers
-/// carry `root`.
+/// digests it is combined from. LedgerState::commitment() returns the
+/// committed state's, LedgerState::stage() a block's post-state's; block
+/// headers carry `root`.
 struct StateCommitment {
   crypto::Digest root{};           ///< combined commitment (block header field)
   crypto::Digest accounts_root{};  ///< MerkleMap root over account leaves
@@ -135,18 +135,6 @@ struct StateUndo {
   std::uint64_t burned_delta = 0;     ///< fees the block burned
 };
 
-/// A view delta flattened for commitment computation: the overlay stack folds
-/// itself into one of these and hands it to the materialized base. Internal
-/// plumbing for commitment_with(); use LedgerView::commitment() instead.
-struct CommitmentDelta {
-  std::map<crypto::Address, std::uint64_t> balances;
-  std::map<crypto::Address, std::uint64_t> nonces;
-  std::vector<const StoredAuditRecord*> audit;  ///< appended, oldest first
-  /// contract -> key -> new value (pointer into an overlay; nullopt* = erase)
-  std::map<std::string, std::map<std::string, const std::optional<Bytes>*>> stores;
-  std::uint64_t burned = 0;
-};
-
 /// Incrementally maintained digest of one contract store.
 struct StoreDigest {
   crypto::SetHash sum;       ///< multiset hash over (key, value) entries
@@ -167,7 +155,7 @@ struct StagedCommit {
   /// contract -> key -> new value (nullopt = erase)
   std::map<std::string, std::map<std::string, std::optional<Bytes>>> stores;
   std::map<std::string, StoreDigest> store_digests;  ///< of the stores touched
-  std::optional<StateUndo> undo;  ///< inverse delta, when staged with one
+  StateUndo undo;  ///< inverse delta, for the retention ring and commit hook
 };
 
 class LedgerStateOverlay;
@@ -209,20 +197,6 @@ class LedgerView {
                            const std::string& key) = 0;
   [[nodiscard]] virtual std::vector<std::string> store_keys_with_prefix(
       const std::string& contract, const std::string& prefix) const = 0;
-
-  // ---- state commitment ----
-  /// Commitment to this view's full state (root + per-section digests).
-  /// O(touched · log n) on an overlay — the base's cached Merkle tree and
-  /// section digests are combined with the delta without materializing —
-  /// and valid at any overlay nesting depth.
-  [[nodiscard]] StateCommitment commitment() const {
-    return commitment_with(CommitmentDelta{});
-  }
-  /// Internal: commitment of this view's state with `delta` stacked on top.
-  /// Overlays fold their own delta into `delta` and recurse into their base.
-  /// Public only so overlays can recurse through any LedgerView base.
-  [[nodiscard]] virtual StateCommitment commitment_with(
-      const CommitmentDelta& delta) const = 0;
 
   // ---- conveniences built on the primitives ----
   void credit(crypto::Address a, std::uint64_t amount);
@@ -283,8 +257,9 @@ class LedgerState final : public LedgerView {
       const std::string& contract, const std::string& prefix) const override;
 
   // ---- state commitment ----
-  [[nodiscard]] StateCommitment commitment_with(
-      const CommitmentDelta& delta) const override;
+  /// Commitment to this state (root + per-section digests), from the
+  /// maintained sections.
+  [[nodiscard]] StateCommitment commitment() const;
   /// Oracle: recompute the commitment from the raw maps with no incremental
   /// caches (independent account-tree recursion, audit chain refold, store
   /// digests from scratch). Differential tests assert it equals commitment().
@@ -293,12 +268,11 @@ class LedgerState final : public LedgerView {
     return full_rehash_commitment().root;
   }
 
-  /// Compute the post-state of `block` — an overlay built as a reader or
-  /// writer directly over this state, which it consumes — once, in a form
-  /// install() writes without recomputing. `with_undo` also records the
-  /// block's inverse delta. Costs what commitment() on the overlay costs.
-  [[nodiscard]] StagedCommit stage(LedgerStateOverlay&& block,
-                                   bool with_undo) const;
+  /// Compute the post-state of `block` — a reader overlay directly over this
+  /// state, which it consumes — once, with its inverse delta, in a form
+  /// install() writes without recomputing. O(touched · log n): the cached
+  /// Merkle tree and section digests are combined with the block's delta.
+  [[nodiscard]] StagedCommit stage(LedgerStateOverlay&& block) const;
   /// Write a staged block: one table write per account, the accounts tree
   /// updated from the stage's recorded digests (MerkleMap::apply), and the
   /// audit, store and fee sections taken from the stage as they are. This
@@ -344,8 +318,10 @@ class LedgerState final : public LedgerView {
   /// Store `acc` as `a`'s record and refresh its Merkle leaf (both removed
   /// when the record does not exist()).
   void put_account(crypto::Address a, const Account& acc);
-  /// commitment_with(), additionally filling `stage` (when given) with what
-  /// install() needs.
+  /// A block's delta flattened for stage() (defined in state.cpp).
+  struct CommitmentDelta;
+  /// Commitment of this state with `delta` on top, additionally filling
+  /// `stage` (when given) with what install() needs and the undo.
   [[nodiscard]] StateCommitment compute_commitment(const CommitmentDelta& delta,
                                                    StagedCommit* stage) const;
 
@@ -365,25 +341,21 @@ class LedgerState final : public LedgerView {
 /// O(touched); discarding the overlay (destruction) costs the same.
 ///
 /// Construct via the named factories — the intent is part of the call site:
-///   auto scratch = LedgerStateOverlay::reader(base);   // no commit right
-///   auto scratch = LedgerStateOverlay::writer(base);   // commit() folds in
-///   auto scratch = LedgerStateOverlay::nested(parent); // sub-tx atomicity
+///   auto scratch = LedgerStateOverlay::reader(base);   // staged, never committed
+///   auto scratch = LedgerStateOverlay::nested(parent); // commit() folds in
 ///
 /// Single-use: after commit() the overlay is empty and should be dropped.
 class LedgerStateOverlay final : public LedgerView {
  public:
-  /// Read-only base: trial application without the right to commit
-  /// (block validation on a const chain). commit() is a hard failure
-  /// (logged abort) in every build type — it would discard the delta.
+  /// Read-only base: trial application without the right to commit (block
+  /// assembly and validation; LedgerState::stage consumes the delta).
+  /// commit() is a hard failure (logged abort) in every build type — it
+  /// would discard the delta.
   [[nodiscard]] static LedgerStateOverlay reader(const LedgerView& base) {
     return LedgerStateOverlay(&base, nullptr);
   }
-  /// Writable base: commit() folds the delta into `base`.
-  [[nodiscard]] static LedgerStateOverlay writer(LedgerView& base) {
-    return LedgerStateOverlay(&base, &base);
-  }
-  /// Nested overlay over another overlay (contract-call atomicity). Same
-  /// mechanics as writer(); the name keeps sub-transaction call sites honest.
+  /// Writable overlay over `parent` (contract-call atomicity): commit()
+  /// folds the delta into it.
   [[nodiscard]] static LedgerStateOverlay nested(LedgerView& parent) {
     return LedgerStateOverlay(&parent, &parent);
   }
@@ -406,14 +378,9 @@ class LedgerStateOverlay final : public LedgerView {
   [[nodiscard]] std::vector<std::string> store_keys_with_prefix(
       const std::string& contract, const std::string& prefix) const override;
 
-  /// Folds this overlay's delta into `delta` (the layers stacked above it)
-  /// and recurses into the base, so the commitment works at any depth.
-  [[nodiscard]] StateCommitment commitment_with(
-      const CommitmentDelta& delta) const override;
-
   /// Fold the delta into the (writable) base. O(touched entries). Blocks
   /// commit through LedgerState::stage()/install() instead; this serves
-  /// nested overlays and other writers.
+  /// nested overlays.
   void commit();
 
   /// Number of accounts/keys recorded in the delta (diagnostics).

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 
 #include "chain_checks.h"
 #include "ledger/audit.h"
@@ -325,6 +326,17 @@ TEST(Blockchain, AssembleAndAppend) {
   ASSERT_TRUE(chain.append(block).ok());
   EXPECT_EQ(chain.height(), 1);
   EXPECT_EQ(chain.state().balance(f.bob.address()), 510u);
+}
+
+TEST(Blockchain, RejectsZeroStateRetention) {
+  // The retention ring's newest slot is the tip's commitment; with none,
+  // commitment_at(tip) was null.
+  ChainFixture f;
+  f.config.state_retention = 0;
+  EXPECT_THROW((void)f.make_chain(), std::invalid_argument);
+  EXPECT_THROW(Blockchain(f.config, f.contracts,
+                          std::make_shared<const LedgerState>(f.state)),
+               std::invalid_argument);
 }
 
 TEST(Blockchain, AssembleDropsInvalidTxs) {
@@ -817,44 +829,57 @@ TEST(LedgerStateOverlay, ReaderComputesCommitmentWithoutMutatingBase) {
   auto scratch = LedgerStateOverlay::reader(f.state);
   const auto tx = make_transfer(f.alice, 0, f.bob.address(), 100, 5, f.rng);
   ASSERT_TRUE(scratch.apply(tx, *f.contracts, 0).ok());
-  const auto oc = scratch.commitment();
+  const auto oc = f.state.stage(std::move(scratch)).commitment;
   EXPECT_NE(oc.root, base_before.root);
   EXPECT_EQ(f.state.commitment(), base_before);  // base untouched
 }
 
 TEST(LedgerStateOverlay, WriterCommitmentPredictsPostCommitState) {
+  // The same writes staged and installed, and folded by a writing overlay's
+  // commit() into a copy: both reach the staged commitment.
   Fixture f;
-  auto scratch = LedgerStateOverlay::writer(f.state);
+  LedgerState folded = f.state;
   const auto tx = make_transfer(f.alice, 0, f.bob.address(), 100, 5, f.rng);
-  ASSERT_TRUE(scratch.apply(tx, *f.contracts, 0).ok());
-  scratch.store_put("reg", "k", Bytes{9});
-  const auto oc = scratch.commitment();
-  scratch.commit();
+  auto scratch = LedgerStateOverlay::reader(f.state);
+  auto writer = LedgerStateOverlay::nested(folded);
+  for (LedgerStateOverlay* o : {&scratch, &writer}) {
+    ASSERT_TRUE(o->apply(tx, *f.contracts, 0).ok());
+    o->store_put("reg", "k", Bytes{9});
+  }
+  StagedCommit staged = f.state.stage(std::move(scratch));
+  const auto oc = staged.commitment;
+  f.state.install(std::move(staged));
+  writer.commit();
   EXPECT_EQ(f.state.commitment(), oc);
   EXPECT_EQ(f.state.commitment(), f.state.full_rehash_commitment());
+  EXPECT_EQ(folded.commitment(), oc);
+  EXPECT_EQ(folded.full_rehash_commitment(), oc);
 }
 
 TEST(LedgerStateOverlay, NestedOverlayCommitmentValidOverUnmaterializedBase) {
-  // The historical API computed a state root only on an overlay whose base
-  // was the materialized LedgerState; commitment() must work at any depth.
+  // A nested overlay folds into its parent overlay, never into the
+  // materialized state; staging the parent must commit to both layers.
   Fixture f;
-  auto outer = LedgerStateOverlay::writer(f.state);
-  ASSERT_TRUE(
-      outer.apply(make_transfer(f.alice, 0, f.bob.address(), 100, 5, f.rng),
-                  *f.contracts, 0)
-          .ok());
+  LedgerState direct = f.state;  // the same writes, applied with no overlay
+  const auto t1 = make_transfer(f.alice, 0, f.bob.address(), 100, 5, f.rng);
+  const auto t2 = make_transfer(f.bob, 0, f.alice.address(), 30, 2, f.rng);
+  const StoredAuditRecord rec{f.bob.address(), {"pose", "render", 3, "none"}, 0};
+  ASSERT_TRUE(direct.apply(t1, *f.contracts, 0).ok());
+  ASSERT_TRUE(direct.apply(t2, *f.contracts, 0).ok());
+  direct.store_put("reg", "k", Bytes{1});
+  direct.append_audit(rec);
+
+  auto outer = LedgerStateOverlay::reader(f.state);
+  ASSERT_TRUE(outer.apply(t1, *f.contracts, 0).ok());
   auto inner = LedgerStateOverlay::nested(outer);
-  ASSERT_TRUE(
-      inner.apply(make_transfer(f.bob, 0, f.alice.address(), 30, 2, f.rng),
-                  *f.contracts, 0)
-          .ok());
+  ASSERT_TRUE(inner.apply(t2, *f.contracts, 0).ok());
   inner.store_put("reg", "k", Bytes{1});
-  inner.append_audit(
-      StoredAuditRecord{f.bob.address(), {"pose", "render", 3, "none"}, 0});
-  const auto nested_c = inner.commitment();
+  inner.append_audit(rec);
   inner.commit();
-  EXPECT_EQ(outer.commitment(), nested_c);
-  outer.commit();
+  StagedCommit staged = f.state.stage(std::move(outer));
+  const auto nested_c = staged.commitment;
+  EXPECT_EQ(nested_c, direct.full_rehash_commitment());
+  f.state.install(std::move(staged));
   EXPECT_EQ(f.state.commitment(), nested_c);
   EXPECT_EQ(f.state.full_rehash_commitment(), nested_c);
 }
@@ -862,10 +887,11 @@ TEST(LedgerStateOverlay, NestedOverlayCommitmentValidOverUnmaterializedBase) {
 TEST(LedgerStateOverlay, OverlayTombstoneErasesBaseStoreKey) {
   Fixture f;
   f.state.store_put("reg", "k", Bytes{1});
-  auto scratch = LedgerStateOverlay::writer(f.state);
+  auto scratch = LedgerStateOverlay::reader(f.state);
   scratch.store_erase("reg", "k");
-  const auto oc = scratch.commitment();
-  scratch.commit();
+  StagedCommit staged = f.state.stage(std::move(scratch));
+  const auto oc = staged.commitment;
+  f.state.install(std::move(staged));
   EXPECT_EQ(f.state.store_get("reg", "k"), nullptr);
   EXPECT_EQ(f.state.commitment(), oc);
   EXPECT_EQ(f.state.commitment(), f.state.full_rehash_commitment());
@@ -873,9 +899,10 @@ TEST(LedgerStateOverlay, OverlayTombstoneErasesBaseStoreKey) {
 
 TEST(LedgerState, DifferentialCommitmentMatchesFullRehashOracle) {
   // >= 10k randomized mixed operations (credits, debits, nonce bumps, store
-  // writes/erases, audit appends) staged through writer overlays that are
-  // committed or discarded at every "block boundary"; the incrementally
-  // maintained commitment must equal the from-scratch oracle throughout.
+  // writes/erases, audit appends) on reader overlays that are staged and
+  // then installed or discarded at every "block boundary"; the
+  // incrementally maintained commitment must equal the from-scratch oracle
+  // throughout, and each installed block's undo must restore its pre-state.
   Rng rng(2024);
   LedgerState state;
   const auto addr = [&rng] { return crypto::Address{rng.next_below(48) + 1}; };
@@ -891,7 +918,7 @@ TEST(LedgerState, DifferentialCommitmentMatchesFullRehashOracle) {
   std::size_t ops = 0;
   int block = 0;
   while (ops < 10000) {
-    auto scratch = LedgerStateOverlay::writer(state);
+    auto scratch = LedgerStateOverlay::reader(state);
     const std::uint64_t block_ops = 1 + rng.next_below(150);
     for (std::uint64_t i = 0; i < block_ops; ++i, ++ops) {
       switch (rng.next_below(6)) {
@@ -921,10 +948,17 @@ TEST(LedgerState, DifferentialCommitmentMatchesFullRehashOracle) {
           break;
       }
     }
-    const auto oc = scratch.commitment();
+    StagedCommit staged = state.stage(std::move(scratch));
+    const auto oc = staged.commitment;
     if (rng.chance(0.7)) {
-      scratch.commit();
+      const StateCommitment before = state.commitment();
+      const StateUndo undo = staged.undo;
+      state.install(std::move(staged));
       ASSERT_EQ(state.commitment(), oc) << "block " << block;
+      LedgerState rolled = state;
+      rolled.apply_undo(undo);
+      ASSERT_EQ(rolled.commitment(), before) << "block " << block;
+      ASSERT_EQ(rolled.full_rehash_commitment(), before) << "block " << block;
     }
     // Whether committed or discarded, the incremental sections must agree
     // with the from-scratch oracle at the boundary.
@@ -936,9 +970,17 @@ TEST(LedgerState, DifferentialCommitmentMatchesFullRehashOracle) {
 
 // ---------------------------------------------------------- mempool TTL/cap
 
+/// A pool with the given expiry and cap, and no signature memo.
+MempoolConfig pool_config(Tick ttl, std::size_t max_txs) {
+  MempoolConfig config;
+  config.ttl = ttl;
+  config.max_txs = max_txs;
+  return config;
+}
+
 TEST(Mempool, SweepExpiredDropsOnlyStaleEntries) {
   Fixture f;
-  Mempool pool(MempoolConfig{.ttl = 10, .max_txs = 100});
+  Mempool pool(pool_config(10, 100));
   ASSERT_TRUE(
       pool.add(make_transfer(f.alice, 0, f.bob.address(), 1, 1, f.rng), f.state, 0)
           .ok());
@@ -958,7 +1000,7 @@ TEST(Mempool, SweepExpiredDropsOnlyStaleEntries) {
 
 TEST(Mempool, ZeroTtlDisablesExpiry) {
   Fixture f;
-  Mempool pool(MempoolConfig{.ttl = 0, .max_txs = 100});
+  Mempool pool(pool_config(0, 100));
   ASSERT_TRUE(
       pool.add(make_transfer(f.alice, 0, f.bob.address(), 1, 1, f.rng), f.state, 0)
           .ok());
@@ -970,7 +1012,7 @@ TEST(Mempool, NonceGappedTxExpiresInsteadOfPendingForever) {
   // Nonce 2 arrives but nonce 1 never does: the successor is unrunnable and
   // must eventually age out, even while fresh traffic keeps flowing.
   Fixture f;
-  Mempool pool(MempoolConfig{.ttl = 10, .max_txs = 100});
+  Mempool pool(pool_config(10, 100));
   ASSERT_TRUE(
       pool.add(make_transfer(f.alice, 0, f.bob.address(), 1, 1, f.rng), f.state, 0)
           .ok());
@@ -1000,7 +1042,7 @@ TEST(Mempool, AtCapacityEvictsLowestFeeOrRejects) {
   crypto::Wallet carol{f.rng}, dave{f.rng};
   f.state.credit(carol.address(), 500);
   f.state.credit(dave.address(), 500);
-  Mempool pool(MempoolConfig{.ttl = 0, .max_txs = 3});
+  Mempool pool(pool_config(0, 3));
   ASSERT_TRUE(
       pool.add(make_transfer(f.alice, 0, f.bob.address(), 1, 5, f.rng), f.state, 0)
           .ok());
@@ -1039,7 +1081,7 @@ TEST(Mempool, ReplaceByFeeAtExactCapacityNeverEvictsOthers) {
   crypto::Wallet carol{f.rng}, dave{f.rng};
   f.state.credit(carol.address(), 500);
   f.state.credit(dave.address(), 500);
-  Mempool pool(MempoolConfig{.ttl = 0, .max_txs = 4});
+  Mempool pool(pool_config(0, 4));
   ASSERT_TRUE(
       pool.add(make_transfer(f.alice, 0, f.bob.address(), 1, 2, f.rng), f.state, 0)
           .ok());
@@ -1081,7 +1123,7 @@ TEST(Mempool, SweepExpiredFreesCapacityBeforeEviction) {
   crypto::Wallet carol{f.rng}, dave{f.rng};
   f.state.credit(carol.address(), 500);
   f.state.credit(dave.address(), 500);
-  Mempool pool(MempoolConfig{.ttl = 10, .max_txs = 3});
+  Mempool pool(pool_config(10, 3));
   ASSERT_TRUE(
       pool.add(make_transfer(f.alice, 0, f.bob.address(), 1, 1, f.rng), f.state, 0)
           .ok());
@@ -1389,7 +1431,7 @@ TEST(LedgerStateOverlayDeathTest, CommitOnReaderAborts) {
 
 TEST(LedgerStateOverlay, CommitOnWriterFoldsDelta) {
   Fixture f;
-  auto overlay = LedgerStateOverlay::writer(f.state);
+  auto overlay = LedgerStateOverlay::nested(f.state);
   overlay.credit(f.alice.address(), 10);
   overlay.set_nonce(f.bob.address(), 3);
   overlay.add_burned_fees(7);
@@ -1443,7 +1485,7 @@ TEST(LedgerStateOverlay, StoreKeysWithPrefixMatchesFlattenedOracle) {
       base.store_put(contract, key, Bytes{static_cast<std::uint8_t>(i)});
       base_model[key] = Bytes{static_cast<std::uint8_t>(i)};
     }
-    auto o1 = LedgerStateOverlay::writer(base);
+    auto o1 = LedgerStateOverlay::nested(base);
     StoreModel o1_model = base_model;
     for (int i = 0; i < 30; ++i) {
       const std::string key = random_store_key(rng);
@@ -1502,7 +1544,7 @@ TEST(Mempool, SweepRecoversFromClockRegression) {
   // left future-stamped entries unexpirable forever; they are now re-stamped
   // to the regressed clock and age out normally.
   Fixture f;
-  Mempool pool(MempoolConfig{.ttl = 10, .max_txs = 100});
+  Mempool pool(pool_config(10, 100));
   ASSERT_TRUE(
       pool.add(make_transfer(f.alice, 0, f.bob.address(), 1, 1, f.rng), f.state, 1000)
           .ok());
@@ -1523,7 +1565,7 @@ TEST(Mempool, SweepMixedPastAndFutureStamps) {
   // Only the oldest stamp drives the loop: a future-stamped entry behind a
   // past one is untouched until it becomes the oldest, then re-stamped.
   Fixture f;
-  Mempool pool(MempoolConfig{.ttl = 10, .max_txs = 100});
+  Mempool pool(pool_config(10, 100));
   ASSERT_TRUE(
       pool.add(make_transfer(f.alice, 0, f.bob.address(), 1, 1, f.rng), f.state, 3)
           .ok());
@@ -1541,7 +1583,7 @@ TEST(Mempool, SweepMixedPastAndFutureStamps) {
 
 TEST(Mempool, SweepTickBoundaryValues) {
   Fixture f;
-  Mempool pool(MempoolConfig{.ttl = 10, .max_txs = 100});
+  Mempool pool(pool_config(10, 100));
   ASSERT_TRUE(
       pool.add(make_transfer(f.alice, 0, f.bob.address(), 1, 1, f.rng), f.state, 0)
           .ok());
@@ -1567,7 +1609,7 @@ TEST(Mempool, RandomizedChurnKeepsIndexesConsistent) {
   Rng rng(777);
   std::vector<crypto::Wallet> wallets;
   for (int i = 0; i < 6; ++i) wallets.emplace_back(rng);
-  Mempool pool(MempoolConfig{.ttl = 30, .max_txs = 24});
+  Mempool pool(pool_config(30, 24));
   std::vector<std::uint64_t> next_nonce(wallets.size(), 0);
   Tick now = 0;
   for (int round = 0; round < 60; ++round) {
@@ -1797,30 +1839,34 @@ TEST(ExecutionMemo, InstalledCommitEqualsRecomputedOnEveryPath) {
 }
 
 TEST(ExecutionMemo, HookSetAfterStagingStillReceivesTheUndo) {
-  // With no retention and no hook nobody needs the inverse delta, so the
-  // block is staged without it. A hook set before append then needs one: the
-  // memo must miss and re-execute rather than hand the hook an empty undo.
+  // Every block is staged with its undo (the ring keeps at least the tip), so
+  // a hook set between assemble and append is handed the memo's undo: no
+  // re-execution, and not an empty undo.
   ChainFixture f;
-  f.config.state_retention = 0;
+  f.config.state_retention = 1;
   Blockchain chain = f.make_chain();
   const Block block = chain.assemble(f.v0, alice_transfers(f), 0, f.rng);
   StateUndo seen;
   chain.set_commit_hook([&seen](const Block&, const StateUndo& undo) { seen = undo; });
   ASSERT_TRUE(chain.append(block).ok());
-  EXPECT_EQ(chain.validation_stats().memo_hits, 0u);
-  EXPECT_EQ(chain.validation_stats().applies, 2u);
+  EXPECT_EQ(chain.validation_stats().memo_hits, 1u);
+  EXPECT_EQ(chain.validation_stats().applies, 1u);
   ASSERT_EQ(seen.nonces.size(), 1u);
   EXPECT_EQ(seen.nonces.at(f.alice.address()), 0u);
   EXPECT_EQ(seen.balances.at(f.alice.address()), std::optional<std::uint64_t>(1000));
   EXPECT_EQ(seen.balances.at(f.bob.address()), std::optional<std::uint64_t>(500));
 
-  // Without a hook the next block is staged without an undo and still served
-  // from the memo.
+  // The hook's undo is the ring's: it rolls the tip back to the genesis.
+  LedgerState rolled = chain.state();
+  rolled.apply_undo(seen);
+  EXPECT_EQ(rolled.commitment(), f.state.commitment());
+
+  // With the hook cleared the next block is still served from the memo.
   chain.set_commit_hook({});
   const Block next = chain.assemble(
       f.v1, {make_transfer(f.bob, 0, f.alice.address(), 7, 1, f.rng)}, 1, f.rng);
   ASSERT_TRUE(chain.append(next).ok());
-  EXPECT_EQ(chain.validation_stats().memo_hits, 1u);
+  EXPECT_EQ(chain.validation_stats().memo_hits, 2u);
   EXPECT_EQ(chain.state().commitment(), chain.state().full_rehash_commitment());
 }
 

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "ledger/beacon.h"
@@ -224,6 +225,20 @@ TEST(ShardedLedger, SingleShardMatchesPlainChain) {
     EXPECT_EQ(sc->accounts_root, pc->accounts_root);
     EXPECT_EQ(beacon.value().shards[0].state_root, pc->root);
   }
+}
+
+TEST(ShardedLedger, RejectsZeroStateRetention) {
+  // Each shard's chain must keep at least its tip's commitment, which the
+  // beacon anchors; retention 0 used to leave commit_round a null one.
+  Rng rng(31);
+  crypto::Wallet proposer(rng);
+  LedgerState genesis;
+  genesis.credit(proposer.address(), 1'000);
+  ShardConfig config;
+  config.num_shards = 2;
+  config.validators = {proposer.public_key()};
+  config.state_retention = 0;
+  EXPECT_THROW(ShardedLedger(config, genesis), std::invalid_argument);
 }
 
 // ------------------------------------------------- thread determinism

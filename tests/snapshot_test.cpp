@@ -518,15 +518,30 @@ TEST(SnapshotExport, RingKeepsTheCommitmentItsOldestUndoReaches) {
   EXPECT_EQ(*replica.commitment_at(floor), *at);
 }
 
-TEST(SnapshotExport, RetentionZeroKeepsTipOnlyBehaviour) {
+TEST(SnapshotExport, RetentionOneServesTipAndOneBehind) {
+  // The smallest ring, since retention 0 is refused (see
+  // Blockchain.RejectsZeroStateRetention): it serves the tip and the height
+  // its one undo reaches, and nothing older.
   SyncFixture f;
-  f.config.state_retention = 0;
+  f.config.state_retention = 1;
   Blockchain chain = f.make_chain();
   f.grow(chain, 4);
   const std::int64_t tip = chain.height() - 1;
-  EXPECT_TRUE(chain.export_snapshot(tip).ok());
-  EXPECT_EQ(chain.export_snapshot(tip - 1).error().code, "chain.stale_height");
-  EXPECT_EQ(chain.prove_account(f.alice.address(), tip - 1).error().code,
+  for (const std::int64_t h : {tip, tip - 1}) {
+    const StateCommitment* at = chain.commitment_at(h);
+    ASSERT_NE(at, nullptr) << "height " << h;
+    EXPECT_EQ(at->root, chain.block_at(h)->header.state_root);
+    auto snap = chain.export_snapshot(h);
+    ASSERT_TRUE(snap.ok()) << "height " << h;
+    EXPECT_EQ(snap.value().manifest.commitment, *at);
+    const auto proof = chain.prove_account(f.alice.address(), h);
+    ASSERT_TRUE(proof.ok()) << "height " << h;
+    EXPECT_EQ(proof.value().commitment, *at);
+  }
+  EXPECT_EQ(*chain.commitment_at(tip), chain.state().commitment());
+  EXPECT_EQ(chain.commitment_at(tip - 2), nullptr);
+  EXPECT_EQ(chain.export_snapshot(tip - 2).error().code, "chain.stale_height");
+  EXPECT_EQ(chain.prove_account(f.alice.address(), tip - 2).error().code,
             "chain.stale_height");
 }
 
